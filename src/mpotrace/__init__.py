@@ -52,6 +52,8 @@ from .thermal import (
     thermal_fidelity,
     trace_distance_thermal,
     trace_norm,
+    zz_blocks,
+    zz_from_runs,
 )
 from .oracle import DenseSpectrum, exact_observables, exact_spectrum
 

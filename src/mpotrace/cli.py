@@ -15,7 +15,7 @@ import hashlib
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -68,16 +68,11 @@ class TcEstimate:
 
 @dataclass
 class RunStats:
-    """Counts of Lanczos executions performed during a sweep."""
+    """Distinct Lanczos runs of a sweep: executed (by start) or read from the cache."""
 
     identity_runs: int = 0
     projector_runs: int = 0
     cache_hits: int = 0
-
-    def merge(self, other):
-        self.identity_runs += other.identity_runs
-        self.projector_runs += other.projector_runs
-        self.cache_hits += other.cache_hits
 
 
 @dataclass(frozen=True)
@@ -155,51 +150,68 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 # configuration file + flags
 
-_CONFIG_SCHEMA = {
-    "model": {"family", "l", "j", "g", "h"},
-    "grid": {"tmin", "tmax", "tstep", "delta_t"},
-    "lanczos": {"kmax", "dmax", "breakdown_tol", "reorthogonalize"},
-    "output": {"quantities", "czz", "czz_symmetry", "path", "cache", "workers"},
-}
+def _parsed(convert, kind):
+    """Parser for one setting that reports a bad value as a ConfigError."""
 
-
-def _parse_floats(text, what):
-    try:
-        return tuple(float(x) for x in str(text).split(",") if x.strip())
-    except ValueError as exc:
-        raise ConfigError(f"{what}: cannot parse {text!r} as float list") from exc
-
-
-def _parse_ints(text, what):
-    try:
-        return tuple(int(x) for x in str(text).split(",") if x.strip())
-    except ValueError as exc:
-        raise ConfigError(f"{what}: cannot parse {text!r} as integer list") from exc
-
-
-def _parse_pairs(text, what):
-    pairs = []
-    for token in str(text).split(","):
-        token = token.strip()
-        if not token:
-            continue
-        bits = token.split(":")
-        if len(bits) != 2:
-            raise ConfigError(f"{what}: expected i:j pairs, got {token!r}")
+    def parse(text, what):
         try:
-            pairs.append((int(bits[0]), int(bits[1])))
+            return convert(text)
         except ValueError as exc:
-            raise ConfigError(f"{what}: cannot parse pair {token!r}") from exc
-    return tuple(pairs)
+            raise ConfigError(f"{what}: cannot parse {text!r} as {kind}") from exc
+
+    return parse
 
 
-def _parse_bool(text, what):
+def _items(text):
+    return [x.strip() for x in str(text).split(",") if x.strip()]
+
+
+def _parse_pair(token):
+    bits = token.split(":")
+    if len(bits) != 2:
+        raise ValueError(token)
+    return int(bits[0]), int(bits[1])
+
+
+def _parse_bool(text):
     val = str(text).strip().lower()
     if val in ("1", "true", "yes", "on"):
         return True
     if val in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"{what}: cannot parse {text!r} as boolean")
+    raise ValueError(text)
+
+
+# One row per setting: INI key (section.key), flag dest, RunConfig field,
+# parser. Flags win over the file; a setting given neither way keeps its
+# RunConfig default.
+_SETTINGS = (
+    ("model.family", "model", "family", _parsed(lambda t: str(t).lower(), "text")),
+    ("model.l", "L", "lengths", _parsed(lambda t: tuple(map(int, _items(t))), "integer list")),
+    ("model.j", "J", "j_coupling", _parsed(float, "float")),
+    ("model.g", "g", "g_field", _parsed(float, "float")),
+    ("model.h", "h", "h_fields", _parsed(lambda t: tuple(map(float, _items(t))), "float list")),
+    ("grid.tmin", "tmin", "tmin", _parsed(float, "float")),
+    ("grid.tmax", "tmax", "tmax", _parsed(float, "float")),
+    ("grid.tstep", "tstep", "tstep", _parsed(float, "float")),
+    ("grid.delta_t", "delta_t", "delta_t", _parsed(float, "float")),
+    ("lanczos.kmax", "kmax", "k_max", _parsed(int, "integer")),
+    ("lanczos.dmax", "dmax", "d_max", _parsed(int, "integer")),
+    ("lanczos.breakdown_tol", "breakdown_tol", "breakdown_tol", _parsed(float, "float")),
+    ("lanczos.reorthogonalize", "reorthogonalize", "reorthogonalize",
+     _parsed(_parse_bool, "boolean")),
+    ("output.quantities", "outputs", "outputs", _parsed(lambda t: tuple(_items(t)), "text list")),
+    ("output.czz", "czz", "czz_pairs",
+     _parsed(lambda t: tuple(map(_parse_pair, _items(t))), "i:j pair list")),
+    ("output.czz_symmetry", "czz_symmetry", "czz_symmetry", _parsed(str, "text")),
+    ("output.path", "out", "out_path", _parsed(str, "text")),
+    ("output.cache", "cache", "cache_dir", _parsed(str, "text")),
+    ("output.workers", "workers", "workers", _parsed(int, "integer")),
+)
+
+_CONFIG_SCHEMA = {}  # section -> its keys
+for _section, _, _key in (row[0].partition(".") for row in _SETTINGS):
+    _CONFIG_SCHEMA.setdefault(_section, set()).add(_key)
 
 
 def parse_config_file(path):
@@ -222,52 +234,18 @@ def parse_config_file(path):
 
 def build_run_config(settings, args=None):
     """Merge file settings and CLI flags (flags win) into a RunConfig."""
-
-    def flag(name):
-        return getattr(args, name, None) if args is not None else None
-
-    def pick(setting_key, flag_name):
-        value = flag(flag_name)
-        if value is not None:
-            return value
-        return settings.get(setting_key)
-
-    family = pick("model.family", "model")
-    if family is None:
+    values = {}
+    for key, flag, name, parse in _SETTINGS:
+        raw = getattr(args, flag, None)
+        if raw is None:
+            raw = settings.get(key)
+        if raw is not None:
+            values[name] = parse(raw, key)
+    if "family" not in values:
         raise ConfigError("model.family is required (use --model or a config file)")
-    lengths_raw = pick("model.l", "L")
-    if lengths_raw is None:
+    if "lengths" not in values:
         raise ConfigError("model.L is required")
-    lengths = _parse_ints(lengths_raw, "model.L")
-    h_raw = pick("model.h", "h")
-    cfg = RunConfig(
-        family=str(family).lower(),
-        lengths=lengths,
-        j_coupling=float(pick("model.j", "J") or 0.0),
-        g_field=float(pick("model.g", "g") or 0.0),
-        h_fields=_parse_floats(h_raw, "model.h") if h_raw is not None else (),
-        tmin=float(pick("grid.tmin", "tmin") or 0.1),
-        tmax=float(pick("grid.tmax", "tmax") or 1.0),
-        tstep=float(pick("grid.tstep", "tstep") or 0.1),
-        delta_t=(float(pick("grid.delta_t", "delta_t"))
-                 if pick("grid.delta_t", "delta_t") is not None else None),
-        k_max=int(pick("lanczos.kmax", "kmax") or 70),
-        d_max=int(pick("lanczos.dmax", "dmax") or 60),
-        breakdown_tol=float(pick("lanczos.breakdown_tol", "breakdown_tol") or 1e-12),
-        reorthogonalize=(_parse_bool(pick("lanczos.reorthogonalize", "reorthogonalize"),
-                                     "lanczos.reorthogonalize")
-                         if pick("lanczos.reorthogonalize", "reorthogonalize") is not None
-                         else False),
-        outputs=(tuple(str(pick("output.quantities", "outputs")).split(","))
-                 if pick("output.quantities", "outputs") is not None
-                 else ("s", "c", "F_T", "D_T")),
-        czz_pairs=_parse_pairs(pick("output.czz", "czz") or "", "output.czz"),
-        czz_symmetry=str(pick("output.czz_symmetry", "czz_symmetry") or "none"),
-        out_path=pick("output.path", "out"),
-        cache_dir=pick("output.cache", "cache"),
-        workers=int(pick("output.workers", "workers") or 1),
-    )
-    cfg = replace(cfg, outputs=tuple(o.strip() for o in cfg.outputs if o.strip()))
+    cfg = RunConfig(**values)
     cfg.validate()
     return cfg
 
@@ -299,53 +277,26 @@ def _load_cached(path, key):
     return run
 
 
-def _make_runner(cache_dir, stats):
-    """Wrap run_lanczos with execution counters and an optional run cache."""
+def _execute(job):
+    """Read one planned run from the cache, or execute (and cache) it.
 
-    def runner(h, start, lcfg, model_label=""):
-        key = _cache_key(model_label, start.label, lcfg)
-        if cache_dir:
-            path = _cache_path(cache_dir, key)
-            if os.path.exists(path):
-                run = _load_cached(path, key)
-                stats.cache_hits += 1
-                return run
-        run = lanczos.run_lanczos(h, start, lcfg, model_label)
-        if start.label == "identity":
-            stats.identity_runs += 1
-        else:
-            stats.projector_runs += 1
-        if cache_dir:
-            os.makedirs(cache_dir, exist_ok=True)
-            path = _cache_path(cache_dir, key)
-            tmp = f"{path}.tmp.{os.getpid()}"
-            lanczos.save_run(run, tmp,
-                             extra_header={"cache_version": CACHE_VERSION, "cache_key": key})
-            os.replace(tmp, path)
-        return run
-
-    return runner
-
-
-def _combo_job(payload):
-    """Compute one (model, L, param) sweep point; used by the worker pool."""
-    spec, cfg = payload
-    stats = RunStats()
-    runner = _make_runner(cfg.cache_dir, stats)
-    lcfg = LanczosConfig(cfg.k_max, cfg.d_max, cfg.breakdown_tol, cfg.reorthogonalize)
-    h = spec.build()
-    z_run = runner(h, models.identity_block(spec.length), lcfg, spec.label())
-    temps = cfg.temperatures()
-    grid = BetaGrid.from_temperatures(temps, cfg.effective_delta_t())
-    result = thermal.sweep_observables(z_run, grid, spec.length)
-    if "Czz" in cfg.outputs:
-        betas = 1.0 / temps
-        for (i, j) in cfg.czz_pairs:
-            result.czz[(i, j)] = thermal.correlation_zz(
-                h, i, j, betas, lcfg, symmetry=cfg.czz_symmetry,
-                z_run=z_run, model_label=spec.label(), runner=runner)
-    result.check_bounds()
-    return spec, result, stats
+    Runs in a pool worker or in-process; H is rebuilt from its ModelSpec.
+    Returns the run without its basis, as the cache stores it, and whether it
+    was read from the cache.
+    """
+    spec, start, lcfg, cache_dir = job
+    key = _cache_key(spec.label(), start.label, lcfg)
+    path = _cache_path(cache_dir, key) if cache_dir else None
+    if path and os.path.exists(path):
+        return _load_cached(path, key), True
+    run = replace(lanczos.run_lanczos(spec.build(), start, lcfg, spec.label()), basis=())
+    if path:
+        os.makedirs(cache_dir, exist_ok=True)
+        tmp = f"{path}.tmp.{os.getpid()}"
+        lanczos.save_run(run, tmp,
+                         extra_header={"cache_version": CACHE_VERSION, "cache_key": key})
+        os.replace(tmp, path)
+    return run, False
 
 
 @dataclass
@@ -358,29 +309,63 @@ class SweepOutcome:
 def run_sweep(cfg):
     """Execute all sweep points of a configuration and write the CSV.
 
-    Exactly one identity-start Lanczos execution happens per sweep point,
-    shared across the whole temperature grid and every requested observable;
-    projector-start runs are added only for correlators.
+    Three steps. (1) Plan every Lanczos run of the sweep: one identity-start
+    run per sweep point, shared by the whole temperature grid and every
+    observable, plus the ``thermal.zz_blocks`` starts of each correlator,
+    deduplicated across pairs and points by their cache key. (2) Execute each
+    distinct run once, serially or, with ``workers > 1``, on one process pool
+    over runs; cached runs are read instead. (3) Evaluate the observables and
+    check their bounds in-process. ``stats`` counts distinct runs.
     """
     cfg.validate()
-    specs = cfg.model_specs()
-    payloads = [(spec, cfg) for spec in specs]
-    stats = RunStats()
-    results = []
-    if cfg.workers > 1 and len(payloads) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            for spec, result, job_stats in pool.map(_combo_job, payloads):
-                results.append((spec, result))
-                stats.merge(job_stats)
+    lcfg = LanczosConfig(cfg.k_max, cfg.d_max, cfg.breakdown_tol, cfg.reorthogonalize)
+    pairs = cfg.czz_pairs if "Czz" in cfg.outputs else ()
+    jobs = {}  # cache key -> (spec, start, lcfg, cache_dir)
+
+    def plan(spec, start):
+        key = _cache_key(spec.label(), start.label, lcfg)
+        jobs.setdefault(key, (spec, start, lcfg, cfg.cache_dir))
+        return key
+
+    points = []  # (spec, identity key, {pair: keys of its runs})
+    for spec in cfg.model_specs():
+        h = spec.build()
+        czz = {(i, j): [plan(spec, start)
+                        for start in thermal.zz_blocks(h, i, j, cfg.czz_symmetry)]
+               for (i, j) in pairs}
+        points.append((spec, plan(spec, models.identity_block(spec.length)), czz))
+
+    if cfg.workers > 1 and len(jobs) > 1:
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=min(cfg.workers, len(jobs))) as pool:
+            done = list(pool.map(_execute, jobs.values()))
     else:
-        for payload in payloads:
-            spec, result, job_stats = _combo_job(payload)
-            results.append((spec, result))
-            stats.merge(job_stats)
+        done = [_execute(job) for job in jobs.values()]
+    stats = RunStats()
+    for run, cached in done:
+        if cached:
+            stats.cache_hits += 1
+        elif run.start_label == "identity":
+            stats.identity_runs += 1
+        else:
+            stats.projector_runs += 1
+    runs = dict(zip(jobs, (run for run, _ in done)))
+
+    temps = cfg.temperatures()
+    grid = BetaGrid.from_temperatures(temps, cfg.effective_delta_t())
+    betas = 1.0 / temps
+    results = []
+    for spec, z_key, czz in points:
+        z_run = runs[z_key]
+        result = thermal.sweep_observables(z_run, grid, spec.length)
+        for pair, keys in czz.items():
+            result.czz[pair] = thermal.zz_from_runs([runs[k] for k in keys], z_run, betas)
+        result.check_bounds()
+        results.append((spec, result))
     results.sort(key=lambda item: (item[0].length, item[0].param_text()))
     outcome = SweepOutcome(results, stats)
     if cfg.out_path:
-        write_sweep_csv(cfg.out_path, results, cfg.czz_pairs if "Czz" in cfg.outputs else ())
+        write_sweep_csv(cfg.out_path, results, pairs)
         outcome.csv_path = cfg.out_path
     return outcome
 
@@ -610,7 +595,7 @@ def _add_sweep_flags(sub):
     sub.add_argument("--czz-symmetry", dest="czz_symmetry", choices=["none", "spin-flip"])
     sub.add_argument("--out", help="CSV output path")
     sub.add_argument("--cache", help="directory for cached Lanczos runs")
-    sub.add_argument("--workers", type=int, help="parallel sweep-point workers")
+    sub.add_argument("--workers", type=int, help="parallel Lanczos-run workers")
 
 
 def build_parser():

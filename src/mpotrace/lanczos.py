@@ -281,23 +281,23 @@ def load_run(path):
     round-trip exactly.
     """
     with open(path, "rb") as fh:
-        head = fh.read(12)
-        if len(head) != 12:
-            raise ValueError("truncated run file")
-        magic, version, blob_len = struct.unpack("<4sII", head)
+
+        def read(n):
+            return mpo.read_exact(fh, n, "run file")
+
+        magic, version, blob_len = struct.unpack("<4sII", read(12))
         if magic != _RUN_MAGIC:
             raise ValueError("not a Lanczos run file")
         if version != _RUN_FORMAT_VERSION:
             raise ValueError(f"unsupported run file version {version}")
-        header = json.loads(fh.read(blob_len).decode("utf-8"))
-        (beta1,) = struct.unpack("<d", fh.read(8))
+        header = json.loads(read(blob_len).decode("utf-8"))
+        (beta1,) = struct.unpack("<d", read(8))
         arrays = []
         for _ in range(3):
-            (n,) = struct.unpack("<I", fh.read(4))
-            buf = fh.read(8 * n)
-            if len(buf) != 8 * n:
-                raise ValueError("truncated run file")
-            arrays.append(np.frombuffer(buf, dtype="<f8").astype(float))
+            (n,) = struct.unpack("<I", read(4))
+            arrays.append(np.frombuffer(read(8 * n), dtype="<f8").astype(float))
+    if not isinstance(header, dict) or "termination" not in header:
+        raise ValueError("run file header has no termination field")
     projection = TridiagonalProjection(arrays[0], arrays[1], beta1, header["termination"])
     run = LanczosRun(
         projection,

@@ -273,23 +273,26 @@ def save_mpo(u, path):
             fh.write(np.ascontiguousarray(t, dtype="<c16").tobytes())
 
 
+def read_exact(fh, n, what):
+    """Read exactly ``n`` bytes; a short read raises ValueError("truncated ...")."""
+    buf = fh.read(n)
+    if len(buf) != n:
+        raise ValueError(f"truncated {what}")
+    return buf
+
+
 def load_mpo(path):
     """Read a container written by :func:`save_mpo`."""
     with open(path, "rb") as fh:
-        head = fh.read(12)
-        if len(head) != 12:
-            raise ValueError("truncated MPO container")
-        magic, version, length = struct.unpack("<4sII", head)
+        magic, version, length = struct.unpack("<4sII", read_exact(fh, 12, "MPO container"))
         if magic != _MPO_MAGIC:
             raise ValueError("not an MPO container")
         if version != _MPO_FORMAT_VERSION:
             raise ValueError(f"unsupported MPO container version {version}")
-        shapes = [struct.unpack("<IIII", fh.read(16)) for _ in range(length)]
+        shapes = [struct.unpack("<IIII", read_exact(fh, 16, "MPO container"))
+                  for _ in range(length)]
         ts = []
         for shp in shapes:
-            n = int(np.prod(shp))
-            buf = fh.read(16 * n)
-            if len(buf) != 16 * n:
-                raise ValueError("truncated MPO container")
+            buf = read_exact(fh, 16 * int(np.prod(shp)), "MPO container")
             ts.append(np.frombuffer(buf, dtype="<c16").astype(complex).reshape(shp))
     return Mpo(ts)

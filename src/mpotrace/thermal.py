@@ -222,17 +222,16 @@ def _spin_flip_commutes(h):
     return float(np.linalg.norm(comm)) <= 1e-10 * max(float(np.linalg.norm(hm)), 1e-300)
 
 
-def correlation_zz(h, i, j, betas, cfg, symmetry="none", z_run=None,
-                   model_label="", runner=None):
-    """Connected correlator C_zz(i,j) = <sz_i sz_j> - <sz_i><sz_j>.
+def zz_blocks(h, i, j, symmetry="none"):
+    """Starting blocks whose runs on ``h`` give C_zz(i, j) by ``zz_from_runs``.
 
-    ``symmetry="spin-flip"`` asserts (densely, for L <= 10; trusted beyond)
-    that H commutes with the global spin flip, which makes <sz_i> vanish and
-    halves the projector runs: <sz_i sz_j> = 2(<P0P0> - <P1P0>). Otherwise
-    the full projector decompositions of sz_i sz_j and of each single-site sz
-    are run separately.
+    Returned as consecutive (positive, negative) part pairs, each pair one
+    expectation value. ``symmetry="spin-flip"`` asserts (densely, for
+    L <= 10; trusted beyond) that H commutes with the global spin flip, which
+    makes <sz_i> vanish and halves the runs: one pair, P0P0 and P1P0, with
+    <sz_i sz_j> = 2(<P0P0> - <P1P0>). Otherwise three pairs: the projector
+    decomposition of sz_i sz_j, then of sz_i and of sz_j.
     """
-    runner = runner or lanczos.run_lanczos
     length = h.length
     if i == j:
         raise ValueError("correlator sites must differ")
@@ -242,24 +241,38 @@ def correlation_zz(h, i, j, betas, cfg, symmetry="none", z_run=None,
         i, j = j, i
     if symmetry not in ("none", "spin-flip"):
         raise ValueError(f"unknown symmetry mode {symmetry!r}")
-    if z_run is None:
-        z_run = runner(h, models.identity_block(length), cfg, model_label)
     if symmetry == "spin-flip":
         if length <= 10 and not _spin_flip_commutes(h):
             raise ValueError("Hamiltonian does not commute with the global spin flip")
-        r00 = runner(h, models.projector_block(length, [(i, 0), (j, 0)]), cfg, model_label)
-        r10 = runner(h, models.projector_block(length, [(i, 1), (j, 0)]), cfg, model_label)
-        return expectation([(2.0, r00), (-2.0, r10)], z_run, betas)
-    pos, neg = models.zz_decomposition(length, i, j)
-    r_pos = runner(h, pos, cfg, model_label)
-    r_neg = runner(h, neg, cfg, model_label)
-    zz = expectation([(1.0, r_pos), (-1.0, r_neg)], z_run, betas)
-    z_site = []
+        return [models.projector_block(length, [(i, 0), (j, 0)]),
+                models.projector_block(length, [(i, 1), (j, 0)])]
+    blocks = list(models.zz_decomposition(length, i, j))
     for site in (i, j):
-        r0 = runner(h, models.projector_block(length, [(site, 0)]), cfg, model_label)
-        r1 = runner(h, models.projector_block(length, [(site, 1)]), cfg, model_label)
-        z_site.append(expectation([(1.0, r0), (-1.0, r1)], z_run, betas))
-    return zz - z_site[0] * z_site[1]
+        blocks += [models.projector_block(length, [(site, 0)]),
+                   models.projector_block(length, [(site, 1)])]
+    return blocks
+
+
+def zz_from_runs(runs, z_run, betas):
+    """C_zz per beta from the runs of ``zz_blocks``' blocks, in its order."""
+    parts = [expectation([(1.0, pos), (-1.0, neg)], z_run, betas)
+             for pos, neg in zip(runs[::2], runs[1::2])]
+    if len(parts) == 1:  # spin-flip: <sz_i> = 0
+        return 2.0 * parts[0]
+    zz, z_i, z_j = parts
+    return zz - z_i * z_j
+
+
+def correlation_zz(h, i, j, betas, cfg, symmetry="none"):
+    """Connected correlator C_zz(i,j) = <sz_i sz_j> - <sz_i><sz_j>.
+
+    Runs the identity start and every block of ``zz_blocks`` afresh; a sweep
+    shares these runs through ``cli.run_sweep`` instead.
+    """
+    blocks = zz_blocks(h, i, j, symmetry)
+    z_run = lanczos.run_lanczos(h, models.identity_block(h.length), cfg)
+    runs = [lanczos.run_lanczos(h, block, cfg) for block in blocks]
+    return zz_from_runs(runs, z_run, betas)
 
 
 @dataclass

@@ -1,11 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with `pytest tests/test_acceptance.py -v -s`. The heavy fixtures are
-module-scoped and shared; independent Lanczos runs are precomputed on a
-small process pool.
+module-scoped and shared; their sweeps run distinct Lanczos runs on a small
+process pool.
 """
 
-import concurrent.futures
 import math
 
 import numpy as np
@@ -31,7 +30,7 @@ from mpotrace import (
     to_dense,
     trace_distance_thermal,
 )
-from mpotrace import evaluate, models, thermal
+from mpotrace import evaluate
 from mpotrace.cli import RunConfig, exact_tc, extrapolate_tc, find_peak, run_sweep
 
 TEMPS_10 = np.round(np.arange(1, 11) * 0.1, 10)
@@ -136,51 +135,25 @@ CZZ_PAIRS = tuple((5, 5 + d) for d in range(1, 6))
 CZZ_TEMPS = (0.1, 1.0)
 
 
-def _czz_block(kind):
-    if kind[0] == "identity":
-        return identity_block(CZZ_LENGTH)
-    if kind[0] == "zz":
-        _, i, j, part = kind
-        pos, neg = models.zz_decomposition(CZZ_LENGTH, i, j)
-        return pos if part == "pos" else neg
-    _, site, state = kind
-    return models.projector_block(CZZ_LENGTH, [(site, state)])
-
-
-def _czz_run(kind):
-    h = ising_mpo(CZZ_LENGTH, 1.0, 1.0)
-    cfg = LanczosConfig(k_max=60, d_max=64)
-    block = _czz_block(kind)
-    return block.label, run_lanczos(h, block, cfg, "ising10")
-
-
 @pytest.fixture(scope="module")
 def czz_case():
-    kinds = [("identity",)]
-    for (i, j) in CZZ_PAIRS:
-        kinds.append(("zz", i, j, "pos"))
-        kinds.append(("zz", i, j, "neg"))
-    for site in sorted({s for pair in CZZ_PAIRS for s in pair}):
-        kinds.append(("single", site, 0))
-        kinds.append(("single", site, 1))
-    with concurrent.futures.ProcessPoolExecutor(max_workers=2) as pool:
-        runs = dict(pool.map(_czz_run, kinds))
-
-    def lookup_runner(h, start, cfg, model_label=""):
-        return runs[start.label]
-
-    h = ising_mpo(CZZ_LENGTH, 1.0, 1.0)
-    cfg = LanczosConfig(k_max=60, d_max=64)
-    betas = np.array([1.0 / t for t in CZZ_TEMPS])
-    ours = {}
-    for (i, j) in CZZ_PAIRS:
-        ours[(i, j)] = thermal.correlation_zz(
-            h, i, j, betas, cfg, symmetry="none",
-            z_run=runs["identity"], model_label="ising10", runner=lookup_runner)
-    grid = BetaGrid.from_temperatures(np.array(sorted(CZZ_TEMPS)), delta_t=0.1)
-    reference = exact_observables(exact_spectrum(h, guard=10), grid, czz_sites=CZZ_PAIRS)
-    # ours[pair] is indexed by CZZ_TEMPS order, reference by ascending T
-    return ours, reference
+    cfg = RunConfig(
+        family="ising",
+        lengths=(CZZ_LENGTH,),
+        j_coupling=1.0,
+        g_field=1.0,
+        tmin=CZZ_TEMPS[0], tmax=CZZ_TEMPS[1], tstep=CZZ_TEMPS[1] - CZZ_TEMPS[0],
+        k_max=60, d_max=64,
+        outputs=("Czz",),
+        czz_pairs=CZZ_PAIRS,
+        workers=2,
+    )
+    [(spec, result)] = run_sweep(cfg).results
+    assert tuple(result.temperatures) == CZZ_TEMPS
+    grid = BetaGrid.from_temperatures(np.array(CZZ_TEMPS), delta_t=0.1)
+    reference = exact_observables(exact_spectrum(spec.build(), guard=10), grid,
+                                  czz_sites=CZZ_PAIRS)
+    return result.czz, reference
 
 
 def test_criterion_4_correlator_benchmark(czz_case):

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -280,6 +281,49 @@ def test_main_cache_mismatch_exit_code(tmp_path):
     save_run(run, cli._cache_path(str(cache), key),
              extra_header={"cache_version": -1, "cache_key": key})
     assert cli.main(args) == 4
+
+
+def test_main_zero_flag_is_config_error(tmp_path):
+    code = cli.main(["sweep", "--model", "ising", "--L", "4", "--kmax", "0",
+                     "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+
+
+def test_main_bad_ini_value_is_config_error(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_text("[model]\nfamily = ising\nL = 4\nJ = abc\n")
+    code = cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+
+
+def test_main_truncated_cached_run_exit_code(tmp_path):
+    cache = tmp_path / "cache"
+    args = ["sweep", "--model", "ising", "--L", "4", "--J", "1", "--g", "1",
+            "--kmax", "8", "--dmax", "8",
+            "--out", str(tmp_path / "y.csv"), "--cache", str(cache)]
+    assert cli.main(args) == 0
+    [path] = cache.glob("*.lrun")
+    data = path.read_bytes()
+    (blob_len,) = struct.unpack("<I", data[8:12])
+    path.write_bytes(data[:12 + blob_len + 3])
+    assert cli.main(args) == 4
+
+
+def test_run_sweep_plans_distinct_runs(tmp_path):
+    cache = str(tmp_path / "cache")
+
+    def config(out):
+        return small_config(tmp_path, outputs=("s", "Czz"), czz_pairs=((1, 2), (1, 3)),
+                            k_max=12, out_path=str(tmp_path / out), cache_dir=cache)
+
+    cold = run_sweep(config("cold.csv"))
+    # one identity run; P0/P1 on site 1 are shared by both pairs: 2 * 2 + 3 * 2
+    assert (cold.stats.identity_runs, cold.stats.projector_runs) == (1, 10)
+    assert cold.stats.cache_hits == 0
+    warm = run_sweep(config("warm.csv"))
+    assert (warm.stats.identity_runs, warm.stats.projector_runs) == (0, 0)
+    assert warm.stats.cache_hits == 11
+    assert (tmp_path / "cold.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()
 
 
 def test_exact_subcommand_agrees_with_sweep(tmp_path):

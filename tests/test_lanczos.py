@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -255,6 +258,21 @@ def test_run_serialization_round_trip(tmp_path):
     assert np.array_equal(loaded.compression_log, run.compression_log)
     assert np.array_equal(loaded.quadrature.nodes, run.quadrature.nodes)
     assert np.array_equal(loaded.quadrature.weights, run.quadrature.weights)
+
+
+def test_run_serialization_rejects_truncated_or_incomplete(tmp_path):
+    run = run_lanczos(ising_mpo(4, 1.0, 0.5), identity_block(4), LanczosConfig(k_max=6, d_max=8))
+    path = tmp_path / "run.lrun"
+    save_run(run, path)
+    data = path.read_bytes()
+    (blob_len,) = struct.unpack("<I", data[8:12])
+    path.write_bytes(data[:12 + blob_len + 3])  # cut inside beta1
+    with pytest.raises(ValueError, match="truncated"):
+        load_run(path)
+    blob = json.dumps({"format_version": 1, "k": run.projection.k}).encode("utf-8")
+    path.write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob + data[12 + blob_len:])
+    with pytest.raises(ValueError, match="termination"):
+        load_run(path)
 
 
 def test_run_serialization_rejects_garbage(tmp_path):

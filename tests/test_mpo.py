@@ -265,6 +265,17 @@ def test_serialization_round_trip(tmp_path):
         assert np.array_equal(np.asarray(a, dtype=complex), b)
 
 
+def test_serialization_rejects_truncated_file(tmp_path):
+    u = random_mpo(np.random.default_rng(32), 3, 2)
+    path = tmp_path / "op.mpo"
+    save_mpo(u, path)
+    data = path.read_bytes()
+    for cut in (14, 12 + 16 * u.length + 5):  # inside the shapes, inside the data
+        path.write_bytes(data[:cut])
+        with pytest.raises(ValueError, match="truncated"):
+            load_mpo(path)
+
+
 def test_serialization_rejects_garbage(tmp_path):
     path = tmp_path / "bad.mpo"
     path.write_bytes(b"NOPE" + b"\0" * 16)
