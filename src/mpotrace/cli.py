@@ -106,6 +106,8 @@ class RunConfig:
             raise ConfigError("system sizes must be >= 2")
         if self.family == "lmg" and not self.h_fields:
             raise ConfigError("model.h must list at least one field value for lmg")
+        if not all(math.isfinite(x) for x in (self.j_coupling, self.g_field, *self.h_fields)):
+            raise ConfigError("model couplings J, g and h must be finite")
         if not (self.tmin > 0 and self.tmax >= self.tmin and self.tstep > 0):
             raise ConfigError("grid requires 0 < tmin <= tmax and tstep > 0")
         if self.delta_t is not None and not self.delta_t > 0:
@@ -121,6 +123,12 @@ class RunConfig:
             raise ConfigError(f"unknown output quantities: {unknown}")
         if "Czz" in self.outputs and not self.czz_pairs:
             raise ConfigError("Czz requested but no site pairs given")
+        for i, j in self.czz_pairs:
+            if i == j:
+                raise ConfigError(f"correlator pair {i}:{j}: sites must differ")
+            if not all(1 <= site <= length for site in (i, j) for length in self.lengths):
+                raise ConfigError(f"correlator pair {i}:{j}: sites must lie in 1..L "
+                                  f"for every L in {list(self.lengths)}")
         if self.czz_symmetry not in ("none", "spin-flip"):
             raise ConfigError("czz_symmetry must be none or spin-flip")
         if self.workers < 1:

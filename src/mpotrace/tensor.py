@@ -63,13 +63,18 @@ def truncated_svd(m, max_rank):
     except np.linalg.LinAlgError:
         # gesdd occasionally fails to converge; gesvd is slower but sturdier
         u, s, vh = scipy.linalg.svd(m, full_matrices=False, lapack_driver="gesvd")
-    if s[0] > 0.0:
-        rank = int(np.count_nonzero(s > RANK_TOL * s[0]))
-    else:
-        rank = 0
-    k = min(int(max_rank), max(rank, 1), s.size)
+    k = kept_rank(s, max_rank)
     discarded = float(np.sum(s[k:] ** 2))
     return SvdResult(u[:, :k], s[:k], vh[:k], discarded)
+
+
+def kept_rank(s, max_rank):
+    """How many of the descending singular values ``s`` a truncation keeps.
+
+    At most ``max_rank``, none below RANK_TOL * s[0], and at least one.
+    """
+    rank = int(np.count_nonzero(s > RANK_TOL * s[0])) if s[0] > 0.0 else 0
+    return min(int(max_rank), max(rank, 1), s.size)
 
 
 def symtridiag_eig(alpha, beta):

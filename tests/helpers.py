@@ -6,8 +6,9 @@ so they can serve as ground truth for it.
 """
 
 import numpy as np
+import scipy.linalg
 
-from mpotrace import Mpo
+from mpotrace import Mpo, tensor
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -68,4 +69,44 @@ def random_hermitian_mpo(rng, length, bond, phys=2):
         t = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         t = t + t.conj().transpose(0, 2, 1, 3)
         tensors.append(t / np.sqrt(bond * phys))
+    return Mpo(tensors)
+
+
+def dense_compress(u, d_max):
+    """Reference compression: one QR+SVD sweep over whole site matrices.
+
+    This is ``mpo.compress`` without parity sectors; returns the compressed
+    MPO and the discarded weight per bond.
+    """
+    ts = list(u.tensors)
+    for i in range(len(ts) - 1):
+        dl, po, pi, dr = ts[i].shape
+        q, r = scipy.linalg.qr(ts[i].reshape(dl * po * pi, dr), mode="economic")
+        ts[i] = q.reshape(dl, po, pi, q.shape[1])
+        ts[i + 1] = np.tensordot(r, ts[i + 1], axes=(1, 0))
+    discarded = np.zeros(len(ts) - 1)
+    for i in range(len(ts) - 1, 0, -1):
+        dl, po, pi, dr = ts[i].shape
+        res = tensor.truncated_svd(ts[i].reshape(dl, po * pi * dr), d_max)
+        ts[i] = res.vh.reshape(res.s.size, po, pi, dr)
+        ts[i - 1] = np.tensordot(ts[i - 1], res.u * res.s, axes=(3, 0))
+        discarded[i - 1] = res.discarded_weight
+    return Mpo(ts), discarded
+
+
+def random_graded_mpo(rng, length, bond, complex_entries=True):
+    """Random MPO that commutes with the parity prod sz.
+
+    Each bond index gets a random parity and every entry that breaks
+    p(right) = p(left) xor out xor in is zeroed.
+    """
+    u = random_mpo(rng, length, bond, complex_entries=complex_entries)
+    phys = np.add.outer(np.arange(2), np.arange(2)) % 2  # parity of |o><i|
+    left = np.zeros(1, dtype=int)
+    tensors = []
+    for i, t in enumerate(u.tensors):
+        right = np.zeros(1, dtype=int) if i == length - 1 else rng.integers(0, 2, t.shape[3])
+        allowed = (left[:, None, None, None] + phys[None, :, :, None]) % 2 == right
+        tensors.append(np.where(allowed, t, 0.0))
+        left = right
     return Mpo(tensors)

@@ -296,6 +296,19 @@ def test_main_bad_ini_value_is_config_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ["--czz", "2:2"],  # a pair needs two sites
+    ["--czz", "1:9"],  # site outside 1..L
+    ["--J", "nan"],
+    ["--g", "inf"],
+], ids=["czz-same-site", "czz-out-of-range", "J-nan", "g-inf"])
+def test_main_bad_sweep_input_is_config_error(tmp_path, capsys, flags):
+    code = cli.main(["sweep", "--model", "ising", "--L", "4", "--outputs", "s,Czz",
+                     "--czz", "1:2", *flags, "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_main_truncated_cached_run_exit_code(tmp_path):
     cache = tmp_path / "cache"
     args = ["sweep", "--model", "ising", "--L", "4", "--J", "1", "--g", "1",

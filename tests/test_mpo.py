@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import dense_ising, dense_lmg, random_mpo
+from helpers import dense_compress, dense_ising, dense_lmg, random_graded_mpo, random_mpo
 from mpotrace import (
     Mpo,
     add,
@@ -18,7 +18,9 @@ from mpotrace import (
     scale,
     to_dense,
     trace,
+    zz_decomposition,
 )
+from mpotrace import LanczosConfig, identity_block, mpo, run_lanczos, tensor
 
 
 def test_identity_dense():
@@ -255,14 +257,15 @@ def test_mpo_validation():
 
 def test_serialization_round_trip(tmp_path):
     rng = np.random.default_rng(31)
-    u = random_mpo(rng, 4, 3)
     path = tmp_path / "op.mpo"
-    save_mpo(u, path)
-    v = load_mpo(path)
-    assert v.length == u.length
-    for a, b in zip(u.tensors, v.tensors):
-        assert a.shape == b.shape
-        assert np.array_equal(np.asarray(a, dtype=complex), b)
+    for u, dtype in ((random_mpo(rng, 4, 3), np.complex128), (lmg_mpo(4, 0.3), np.float64)):
+        save_mpo(u, path)
+        v = load_mpo(path)
+        assert v.length == u.length
+        for a, b in zip(u.tensors, v.tensors):
+            assert a.shape == b.shape
+            assert b.dtype == dtype
+            assert np.array_equal(a, b)
 
 
 def test_serialization_rejects_truncated_file(tmp_path):
@@ -281,3 +284,128 @@ def test_serialization_rejects_garbage(tmp_path):
     path.write_bytes(b"NOPE" + b"\0" * 16)
     with pytest.raises(ValueError):
         load_mpo(path)
+
+
+# ---------------------------------------------------------------------------
+# parity-blocked compression against the one-sector reference sweep
+
+def _counted_compress(u, d_max, monkeypatch):
+    """compress(u, d_max) and the number of tensor.truncated_svd calls it made."""
+    calls = [0]
+    svd = tensor.truncated_svd
+
+    def counted(m, max_rank):
+        calls[0] += 1
+        return svd(m, max_rank)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tensor, "truncated_svd", counted)
+        out, report = compress(u, d_max)
+    return out, report, calls[0]
+
+
+def _assert_matches_reference(u, d_max, out, report):
+    ref, ref_discarded = dense_compress(u, d_max)
+    assert out.bond_dims == ref.bond_dims
+    # bonds left untruncated discard roundoff only, far below this floor
+    floor = 1e-24 * frobenius_norm(u) ** 2
+    np.testing.assert_allclose(report.discarded_weights, ref_discarded, rtol=1e-9, atol=floor)
+    dense = to_dense(ref)
+    assert np.linalg.norm(to_dense(out) - dense) <= 1e-10 * np.linalg.norm(dense)
+
+
+def _power(h, k):
+    """h^k, kept exact by compressions that only drop numerical zeros."""
+    out = h
+    for _ in range(k - 1):
+        out, _ = compress(multiply(h, out)[0], 10 ** 6)
+    return out
+
+
+@pytest.fixture(scope="module")
+def graded_inputs():
+    """Parity-graded operators and caps at which each one really truncates.
+
+    Every cap is at or above the split threshold and cuts its bonds between
+    distinct singular values (relative gaps of 1e-7 and more), so the
+    truncation is unique and the split must reproduce the reference.
+    """
+    length = 10
+    ising = ising_mpo(length, 1.0, 0.7)
+    lmg = lmg_mpo(length, 0.3)
+    pos, neg = zz_decomposition(length, 3, 6)
+    return {
+        "lmg^8": (_power(lmg, 8), 36),
+        "ising^8": (_power(ising, 8), 36),
+        "ising^6+lmg^6": (add(_power(ising, 6), _power(lmg, 6))[0], 32),
+        "ising^6*zz_pos": (multiply(_power(ising, 6), pos.mpo)[0], 32),
+        "lmg^6*zz_neg": (multiply(_power(lmg, 6), neg.mpo)[0], 36),
+        "random_complex": (random_graded_mpo(np.random.default_rng(41), 8, 40), 32),
+    }
+
+
+@pytest.mark.parametrize("name", ["lmg^8", "ising^8", "ising^6+lmg^6", "ising^6*zz_pos",
+                                  "lmg^6*zz_neg", "random_complex"])
+def test_compress_split_matches_reference(graded_inputs, name, monkeypatch):
+    u, d_max = graded_inputs[name]
+    assert mpo._bond_parities(u.tensors) is not None
+    out, report, n_svd = _counted_compress(u, d_max, monkeypatch)
+    _assert_matches_reference(u, d_max, out, report)
+    assert report.total_discarded > 1e-12 * frobenius_norm(u) ** 2  # the cap truncates
+    assert n_svd > u.length - 1  # bonds split into two blocks
+
+
+def test_compressed_graded_chain_splits_again(monkeypatch):
+    lmg2, _ = multiply(lmg_mpo(8, 0.3), lmg_mpo(8, 0.3))
+    u, _ = multiply(lmg2, lmg2)
+    for _ in range(2):
+        out, report, n_svd = _counted_compress(u, 32, monkeypatch)
+        _assert_matches_reference(u, 32, out, report)
+        assert n_svd > u.length - 1
+        assert mpo._bond_parities(out.tensors) is not None
+        u = out
+
+
+def test_alpha_zero_ising_vector_is_graded():
+    # The first Lanczos step on a traceless H has alpha = 0 exactly, so
+    # U_2 = (H U_1 - 0 * U_1) / beta carries an all-zero bond index; its
+    # products must still read as graded.
+    length = 8
+    h = ising_mpo(length, 1.0, 1.0)
+    u1 = scale(1.0 / frobenius_norm(identity_mpo(length)), identity_mpo(length))
+    w, _ = multiply(h, u1)
+    alpha = inner_product(u1, w).real
+    assert alpha == 0.0
+    u2, _ = add(w, scale(-alpha, u1))
+    assert not np.any(u2.tensors[0][..., -1])  # the all-zero index
+    assert mpo._bond_parities(u2.tensors) is not None
+    hu2, _ = multiply(h, u2)
+    h2u2, _ = multiply(h, hu2)
+    assert mpo._bond_parities(h2u2.tensors) is not None
+    _assert_matches_reference(h2u2, 32, *compress(h2u2, 32))
+
+
+def test_ungraded_chain_takes_one_sector(monkeypatch):
+    u = random_mpo(np.random.default_rng(43), 6, 40)
+    assert mpo._bond_parities(u.tensors) is None
+    out, report, n_svd = _counted_compress(u, 32, monkeypatch)
+    assert n_svd == u.length - 1
+    ref, ref_discarded = dense_compress(u, 32)
+    assert np.array_equal(report.discarded_weights, ref_discarded)
+    for a, b in zip(out.tensors, ref.tensors):
+        assert np.array_equal(a, b)
+
+
+def test_every_compression_of_an_ising_run_splits(monkeypatch):
+    length = 10
+    per_call = []
+
+    def compress_counted(u, d_max):
+        out, report, n_svd = _counted_compress(u, d_max, monkeypatch)
+        per_call.append(n_svd)
+        return out, report
+
+    monkeypatch.setattr(mpo, "compress", compress_counted)
+    run_lanczos(ising_mpo(length, 1.0, 1.0), identity_block(length), LanczosConfig(20, 32))
+    assert per_call
+    assert all(n > length - 1 for n in per_call)
