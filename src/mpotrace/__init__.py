@@ -32,10 +32,8 @@ from .lanczos import (
     LanczosRun,
     NumericalError,
     QuadratureRule,
-    StopRule,
     TridiagonalProjection,
     evaluate,
-    evaluate_many,
     load_run,
     run_lanczos,
     save_run,

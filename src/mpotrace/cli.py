@@ -158,18 +158,6 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 # configuration file + flags
 
-def _parsed(convert, kind):
-    """Parser for one setting that reports a bad value as a ConfigError."""
-
-    def parse(text, what):
-        try:
-            return convert(text)
-        except ValueError as exc:
-            raise ConfigError(f"{what}: cannot parse {text!r} as {kind}") from exc
-
-    return parse
-
-
 def _items(text):
     return [x.strip() for x in str(text).split(",") if x.strip()]
 
@@ -191,30 +179,38 @@ def _parse_bool(text):
 
 
 # One row per setting: INI key (section.key), flag dest, RunConfig field,
-# parser. Flags win over the file; a setting given neither way keeps its
-# RunConfig default.
+# converter and the kind of value it reads, flag help. The flag is the dest
+# with "-" for "_" (delta_t is --delta-t). Flags win over the file; a setting
+# given neither way keeps its RunConfig default.
 _SETTINGS = (
-    ("model.family", "model", "family", _parsed(lambda t: str(t).lower(), "text")),
-    ("model.l", "L", "lengths", _parsed(lambda t: tuple(map(int, _items(t))), "integer list")),
-    ("model.j", "J", "j_coupling", _parsed(float, "float")),
-    ("model.g", "g", "g_field", _parsed(float, "float")),
-    ("model.h", "h", "h_fields", _parsed(lambda t: tuple(map(float, _items(t))), "float list")),
-    ("grid.tmin", "tmin", "tmin", _parsed(float, "float")),
-    ("grid.tmax", "tmax", "tmax", _parsed(float, "float")),
-    ("grid.tstep", "tstep", "tstep", _parsed(float, "float")),
-    ("grid.delta_t", "delta_t", "delta_t", _parsed(float, "float")),
-    ("lanczos.kmax", "kmax", "k_max", _parsed(int, "integer")),
-    ("lanczos.dmax", "dmax", "d_max", _parsed(int, "integer")),
-    ("lanczos.breakdown_tol", "breakdown_tol", "breakdown_tol", _parsed(float, "float")),
-    ("lanczos.reorthogonalize", "reorthogonalize", "reorthogonalize",
-     _parsed(_parse_bool, "boolean")),
-    ("output.quantities", "outputs", "outputs", _parsed(lambda t: tuple(_items(t)), "text list")),
-    ("output.czz", "czz", "czz_pairs",
-     _parsed(lambda t: tuple(map(_parse_pair, _items(t))), "i:j pair list")),
-    ("output.czz_symmetry", "czz_symmetry", "czz_symmetry", _parsed(str, "text")),
-    ("output.path", "out", "out_path", _parsed(str, "text")),
-    ("output.cache", "cache", "cache_dir", _parsed(str, "text")),
-    ("output.workers", "workers", "workers", _parsed(int, "integer")),
+    ("model.family", "model", "family", lambda t: str(t).lower(), "text",
+     "model family: ising or lmg"),
+    ("model.l", "L", "lengths", lambda t: tuple(map(int, _items(t))), "integer list",
+     "comma-separated system sizes"),
+    ("model.j", "J", "j_coupling", float, "float", "Ising coupling"),
+    ("model.g", "g", "g_field", float, "float", "Ising transverse field"),
+    ("model.h", "h", "h_fields", lambda t: tuple(map(float, _items(t))), "float list",
+     "comma-separated LMG fields"),
+    ("grid.tmin", "tmin", "tmin", float, "float", "lowest temperature"),
+    ("grid.tmax", "tmax", "tmax", float, "float", "highest temperature"),
+    ("grid.tstep", "tstep", "tstep", float, "float", "temperature step"),
+    ("grid.delta_t", "delta_t", "delta_t", float, "float",
+     "temperature offset for F_T/D_T (default: tstep)"),
+    ("lanczos.kmax", "kmax", "k_max", int, "integer", "maximal Krylov dimension"),
+    ("lanczos.dmax", "dmax", "d_max", int, "integer", "maximal bond dimension"),
+    ("lanczos.breakdown_tol", "breakdown_tol", "breakdown_tol", float, "float",
+     "breakdown threshold, relative to the starting norm"),
+    ("lanczos.reorthogonalize", "reorthogonalize", "reorthogonalize", _parse_bool, "boolean",
+     "full reorthogonalisation (takes no value)"),
+    ("output.quantities", "outputs", "outputs", lambda t: tuple(_items(t)), "text list",
+     "comma list from s,c,F_T,D_T,Czz"),
+    ("output.czz", "czz", "czz_pairs", lambda t: tuple(map(_parse_pair, _items(t))),
+     "i:j pair list", "comma list of site pairs i:j"),
+    ("output.czz_symmetry", "czz_symmetry", "czz_symmetry", str, "text",
+     "correlator symmetry: none or spin-flip"),
+    ("output.path", "out", "out_path", str, "text", "CSV output path"),
+    ("output.cache", "cache", "cache_dir", str, "text", "directory for cached Lanczos runs"),
+    ("output.workers", "workers", "workers", int, "integer", "parallel Lanczos-run workers"),
 )
 
 _CONFIG_SCHEMA = {}  # section -> its keys
@@ -243,12 +239,15 @@ def parse_config_file(path):
 def build_run_config(settings, args=None):
     """Merge file settings and CLI flags (flags win) into a RunConfig."""
     values = {}
-    for key, flag, name, parse in _SETTINGS:
+    for key, flag, name, convert, kind, _ in _SETTINGS:
         raw = getattr(args, flag, None)
         if raw is None:
             raw = settings.get(key)
         if raw is not None:
-            values[name] = parse(raw, key)
+            try:
+                values[name] = convert(raw)
+            except ValueError as exc:
+                raise ConfigError(f"{key}: cannot parse {raw!r} as {kind}") from exc
     if "family" not in values:
         raise ConfigError("model.family is required (use --model or a config file)")
     if "lengths" not in values:
@@ -338,9 +337,13 @@ def run_sweep(cfg):
     points = []  # (spec, identity key, {pair: keys of its runs})
     for spec in cfg.model_specs():
         h = spec.build()
-        czz = {(i, j): [plan(spec, start)
-                        for start in thermal.zz_blocks(h, i, j, cfg.czz_symmetry)]
-               for (i, j) in pairs}
+        try:  # the pairs and the mode are validated; only the symmetry check is left
+            blocks = {pair: thermal.zz_blocks(h, *pair, cfg.czz_symmetry) for pair in pairs}
+        except ValueError as exc:
+            raise ConfigError(f"output.czz_symmetry {cfg.czz_symmetry} "
+                              f"for {spec.label()}: {exc}") from exc
+        czz = {pair: [plan(spec, start) for start in starts]
+               for pair, starts in blocks.items()}
         points.append((spec, plan(spec, models.identity_block(spec.length)), czz))
 
     if cfg.workers > 1 and len(jobs) > 1:
@@ -496,6 +499,9 @@ def _cmd_exact(args):
     cfg = build_run_config(settings, args)
     if cfg.out_path is None:
         raise ConfigError("an output path is required (--out or output.path)")
+    if max(cfg.lengths) > args.guard:
+        raise ConfigError(f"model.L: L={max(cfg.lengths)} exceeds the dense-oracle "
+                          f"guard {args.guard} (see --guard)")
     temps = cfg.temperatures()
     grid = BetaGrid.from_temperatures(temps, cfg.effective_delta_t())
     pairs = cfg.czz_pairs if "Czz" in cfg.outputs else ()
@@ -514,15 +520,23 @@ def _read_series(paths, observable):
     """Collect (model,param) -> {L: (T array, value array)} from sweep CSVs."""
     groups = {}
     for path in paths:
-        with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            fh = open(path, newline="", encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot read {path!r}: {exc.strerror}") from exc
+        with fh:
             reader = csv.DictReader(fh)
-            if reader.fieldnames is None or observable not in reader.fieldnames:
-                raise ConfigError(f"{path}: no column {observable!r}")
+            for column in ("model", "L", "param", "T", observable):
+                if reader.fieldnames is None or column not in reader.fieldnames:
+                    raise ConfigError(f"{path}: no column {column!r}")
             for row in reader:
-                key = (row["model"], row["param"])
-                length = int(row["L"])
-                bucket = groups.setdefault(key, {}).setdefault(length, [])
-                bucket.append((float(row["T"]), float(row[observable])))
+                try:
+                    point = (float(row["T"]), float(row[observable]))
+                    length = int(row["L"])
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"{path}, line {reader.line_num}: {exc}") from exc
+                bucket = groups.setdefault((row["model"], row["param"]), {})
+                bucket.setdefault(length, []).append(point)
     for key in groups:
         for length in groups[key]:
             pts = sorted(groups[key][length])
@@ -562,7 +576,12 @@ def _cmd_tc(args):
 
 
 def _cmd_inspect_run(args):
-    run, header = lanczos.load_run(args.path)
+    try:
+        run, header = lanczos.load_run(args.path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {args.path!r}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{args.path}: {exc}") from exc
     print(f"model: {run.model_label or '(unlabeled)'}")
     print(f"start: {run.start_label or '(unlabeled)'}")
     print(f"termination: {run.projection.termination} after k={run.projection.k}")
@@ -583,27 +602,10 @@ def _cmd_inspect_run(args):
 
 def _add_sweep_flags(sub):
     sub.add_argument("--config", help="INI config file; flags override its values")
-    sub.add_argument("--model", choices=["ising", "lmg"], help="model family")
-    sub.add_argument("--L", help="comma-separated system sizes")
-    sub.add_argument("--J", type=float, help="Ising coupling")
-    sub.add_argument("--g", type=float, help="Ising transverse field")
-    sub.add_argument("--h", help="comma-separated LMG fields")
-    sub.add_argument("--tmin", type=float)
-    sub.add_argument("--tmax", type=float)
-    sub.add_argument("--tstep", type=float)
-    sub.add_argument("--delta-t", dest="delta_t", type=float,
-                     help="temperature offset for F_T/D_T (default: tstep)")
-    sub.add_argument("--kmax", type=int, help="maximal Krylov dimension")
-    sub.add_argument("--dmax", type=int, help="maximal bond dimension")
-    sub.add_argument("--breakdown-tol", dest="breakdown_tol", type=float)
-    sub.add_argument("--reorthogonalize", dest="reorthogonalize",
-                     action="store_const", const="true")
-    sub.add_argument("--outputs", help="comma list from s,c,F_T,D_T,Czz")
-    sub.add_argument("--czz", help="comma list of site pairs i:j")
-    sub.add_argument("--czz-symmetry", dest="czz_symmetry", choices=["none", "spin-flip"])
-    sub.add_argument("--out", help="CSV output path")
-    sub.add_argument("--cache", help="directory for cached Lanczos runs")
-    sub.add_argument("--workers", type=int, help="parallel Lanczos-run workers")
+    for _, dest, _, _, _, help_text in _SETTINGS:
+        # values stay text: build_run_config turns a bad one into a ConfigError
+        no_value = {"action": "store_const", "const": "true"} if dest == "reorthogonalize" else {}
+        sub.add_argument("--" + dest.replace("_", "-"), dest=dest, help=help_text, **no_value)
 
 
 def build_parser():

@@ -7,13 +7,17 @@ quadrature rule induced by that projection: nodes are the eigenvalues of the
 tridiagonal matrix, weights the squared first eigenvector components scaled
 by the squared starting norm. Evaluating a scalar function on the rule
 approximates trace[sqrt(B) f(A) sqrt(B)^dag].
+
+A run ends for one of two reasons, recorded as its termination: "k-max"
+(the Krylov dimension reached ``k_max``) or "breakdown" (the next block norm
+fell to ``breakdown_tol`` times the starting norm or below).
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,38 +35,11 @@ class NumericalError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class StopRule:
-    """Early-termination criterion checked once per iteration.
-
-    kind "relative-change": stop once the quadrature estimate for ``probe``
-    changes by less than ``tolerance`` (relatively) for ``consecutive``
-    iterations in a row. kind "node-range": same, tracking the relative
-    stagnation of the extreme quadrature nodes instead.
-    """
-
-    kind: str
-    tolerance: float
-    probe: object = None
-    consecutive: int = 3
-
-    def __post_init__(self):
-        if self.kind not in ("relative-change", "node-range"):
-            raise ValueError(f"unknown stop rule kind {self.kind!r}")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
-        if self.kind == "relative-change" and self.probe is None:
-            raise ValueError("relative-change rule needs a probe function")
-        if self.consecutive < 1:
-            raise ValueError("consecutive must be >= 1")
-
-
-@dataclass(frozen=True)
 class LanczosConfig:
     k_max: int
     d_max: int
     breakdown_tol: float = 1e-12  # relative to the starting norm
     reorthogonalize: bool = False
-    stop_rules: tuple = ()
 
     def __post_init__(self):
         if self.k_max < 1:
@@ -80,7 +57,7 @@ class TridiagonalProjection:
     alphas: np.ndarray  # diagonal, length k
     betas: np.ndarray  # off-diagonal, length k-1
     beta1: float
-    termination: str  # "k-max" | "breakdown" | "stop-rule"
+    termination: str  # "k-max" | "breakdown"
 
     @property
     def k(self):
@@ -115,44 +92,15 @@ def quadrature_rule(projection):
     return QuadratureRule(nodes, weights)
 
 
-class _StopTracker:
-    def __init__(self, rule):
-        self.rule = rule
-        self.prev = None
-        self.hits = 0
-
-    def update(self, nodes, weights):
-        if self.rule.kind == "relative-change":
-            value = float(np.dot(weights, _apply_probe(self.rule.probe, nodes)))
-            if self.prev is not None:
-                change = abs(value - self.prev) / max(abs(value), 1e-300)
-                self.hits = self.hits + 1 if change < self.rule.tolerance else 0
-            self.prev = value
-        else:  # node-range
-            lo, hi = float(nodes[0]), float(nodes[-1])
-            if self.prev is not None:
-                spread = max(hi - lo, 1e-300)
-                change = max(abs(lo - self.prev[0]), abs(hi - self.prev[1])) / spread
-                self.hits = self.hits + 1 if change < self.rule.tolerance else 0
-            self.prev = (lo, hi)
-        return self.hits >= self.rule.consecutive
-
-
-def _apply_probe(f, nodes):
-    vals = np.asarray(f(nodes), dtype=float)
-    if vals.shape != nodes.shape:
-        raise ValueError("probe function must map nodes elementwise")
-    return vals
-
-
 def run_lanczos(a, start, cfg, model_label=""):
     """Three-term global Lanczos recurrence on MPOs.
 
     Per iteration: beta_i = |V_{i-1}|, U_i = V_{i-1}/beta_i,
     V_i = A U_i - beta_i U_{i-1}, alpha_i = Re<U_i, V_i>,
     V_i -= alpha_i U_i, with every product and sum capped at cfg.d_max.
-    Terminates on k_max, on breakdown (beta below breakdown_tol * beta1,
-    i.e. a numerically invariant subspace) or on a firing stop rule.
+    Terminates with "k-max" after cfg.k_max iterations or with "breakdown"
+    when beta falls to breakdown_tol * beta1 or below (a numerically
+    invariant subspace).
     """
     if a.length <= _HERMITICITY_CHECK_MAX_L:
         if mpo.hermiticity_defect(a) > 1e-8:
@@ -165,7 +113,6 @@ def run_lanczos(a, start, cfg, model_label=""):
     betas = []
     comp_log = []
     basis = []
-    trackers = [_StopTracker(rule) for rule in cfg.stop_rules]
     termination = "k-max"
     u_prev = None
     v = start.mpo
@@ -203,12 +150,6 @@ def run_lanczos(a, start, cfg, model_label=""):
                 w, rep = mpo.add(w, mpo.scale(-c, uj), cfg.d_max)
                 discarded += rep.total_discarded
         comp_log.append(discarded)
-        if trackers:
-            nodes, vecs = tensor.symtridiag_eig(np.asarray(alphas), np.asarray(betas))
-            weights = beta1 ** 2 * np.abs(vecs[0, :]) ** 2
-            if any(t.update(nodes, weights) for t in trackers):
-                termination = "stop-rule"
-                break
         u_prev = u
         v = w
     projection = TridiagonalProjection(
@@ -246,11 +187,6 @@ def evaluate(run, f):
     nodes = run.quadrature.nodes
     vals = _function_values(f, nodes)
     return float(np.real(np.dot(run.quadrature.weights, vals)))
-
-
-def evaluate_many(run, fs):
-    """Evaluate several functions against the same (cached) rule."""
-    return [evaluate(run, f) for f in fs]
 
 
 def save_run(run, path, extra_header=None):

@@ -1,4 +1,4 @@
-"""Dense tensor kernels: contraction, truncated SVD, tridiagonal eigensolve.
+"""Dense tensor kernels: truncated SVD and tridiagonal eigensolve.
 
 Thin deterministic wrappers around numpy/LAPACK with the truncation and
 tolerance conventions used by the MPO layer. All functions are pure; inputs
@@ -15,25 +15,6 @@ import scipy.linalg
 # Singular values below RANK_TOL * sigma_max never count toward the rank of a
 # matrix; keeps isometry checks clean in the presence of roundoff.
 RANK_TOL = 1e-14
-
-
-def contract(a, b, pairs):
-    """Contract ``a`` and ``b`` over the given (axis_a, axis_b) pairs.
-
-    No implicit conjugation is applied; the remaining axes of the result are
-    ordered a-then-b.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    for i, j in pairs:
-        if a.shape[i] != b.shape[j]:
-            raise ValueError(
-                f"paired axis extent mismatch: a.shape[{i}]={a.shape[i]} "
-                f"vs b.shape[{j}]={b.shape[j]}"
-            )
-    ax_a = [p[0] for p in pairs]
-    ax_b = [p[1] for p in pairs]
-    return np.tensordot(a, b, axes=(ax_a, ax_b))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -123,7 +124,7 @@ def test_run_sweep_matches_oracle_and_schema(tmp_path):
     outcome = run_sweep(cfg)
     assert outcome.stats.identity_runs == 1
     assert outcome.stats.projector_runs == 0
-    text = open(outcome.csv_path).read().splitlines()
+    text = Path(outcome.csv_path).read_text().splitlines()
     assert text[0] == "model,L,param,T,logZ,energy_density,s,c,F_T,D_T"
     assert len(text) == 1 + 9
     first = text[1].split(",")
@@ -143,7 +144,7 @@ def test_run_sweep_deterministic(tmp_path):
     cfg_b = small_config(tmp_path, out_path=str(tmp_path / "b.csv"))
     run_sweep(cfg_a)
     run_sweep(cfg_b)
-    assert open(tmp_path / "a.csv", "rb").read() == open(tmp_path / "b.csv", "rb").read()
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_run_sweep_cache_round_trip(tmp_path):
@@ -156,7 +157,7 @@ def test_run_sweep_cache_round_trip(tmp_path):
     warm = run_sweep(cfg_warm)
     assert warm.stats.identity_runs == 0
     assert warm.stats.cache_hits == 1
-    assert open(tmp_path / "cold.csv", "rb").read() == open(tmp_path / "warm.csv", "rb").read()
+    assert (tmp_path / "cold.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()
 
 
 def test_cache_version_mismatch_is_fatal(tmp_path):
@@ -186,7 +187,7 @@ def test_sweep_with_correlators_counts_runs(tmp_path):
     outcome = run_sweep(cfg)
     assert outcome.stats.identity_runs == 1
     assert outcome.stats.projector_runs == 2 * len(cfg.czz_pairs)
-    header = open(outcome.csv_path).readline().strip()
+    header = Path(outcome.csv_path).read_text().splitlines()[0].strip()
     assert header.endswith("F_T,D_T,Czz_1_2,Czz_1_4")
 
 
@@ -196,7 +197,7 @@ def test_run_sweep_parallel_workers_match_serial(tmp_path):
                                 workers=2)
     run_sweep(cfg_serial)
     run_sweep(cfg_parallel)
-    assert open(tmp_path / "s.csv", "rb").read() == open(tmp_path / "p.csv", "rb").read()
+    assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "p.csv").read_bytes()
 
 
 def test_find_peak_quadratic_exact():
@@ -301,12 +302,44 @@ def test_main_bad_ini_value_is_config_error(tmp_path):
     ["--czz", "1:9"],  # site outside 1..L
     ["--J", "nan"],
     ["--g", "inf"],
-], ids=["czz-same-site", "czz-out-of-range", "J-nan", "g-inf"])
+    ["--g", "1", "--czz-symmetry", "spin-flip"],  # g*sz breaks the spin flip
+], ids=["czz-same-site", "czz-out-of-range", "J-nan", "g-inf", "czz-spin-flip-broken"])
 def test_main_bad_sweep_input_is_config_error(tmp_path, capsys, flags):
     code = cli.main(["sweep", "--model", "ising", "--L", "4", "--outputs", "s,Czz",
                      "--czz", "1:2", *flags, "--out", str(tmp_path / "x.csv")])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+def _truncated_run_file(tmp_path):
+    from mpotrace import LanczosConfig, identity_block, ising_mpo, run_lanczos, save_run
+    path = tmp_path / "cut.lrun"
+    save_run(run_lanczos(ising_mpo(4, 1.0, 1.0), identity_block(4),
+                         LanczosConfig(k_max=4, d_max=8)), path)
+    path.write_bytes(path.read_bytes()[:-5])
+    return path
+
+
+def _csv_file(tmp_path, text):
+    path = tmp_path / "in.csv"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    lambda tmp: ["exact", "--model", "ising", "--L", "14", "--J", "1", "--g", "1",
+                 "--out", str(tmp / "b.csv")],  # above the dense-oracle guard
+    lambda tmp: ["tc", str(tmp / "missing.csv")],
+    lambda tmp: ["tc", _csv_file(tmp, "L,param,T,c\n4,h=0.2,0.1,1\n")],
+    lambda tmp: ["tc", _csv_file(tmp, "model,L,param,T,c\nlmg,4,h=0.2,abc,1\n")],
+    lambda tmp: ["inspect-run", str(tmp / "missing.lrun")],
+    lambda tmp: ["inspect-run", str(_truncated_run_file(tmp))],
+], ids=["exact-over-guard", "tc-missing-csv", "tc-csv-without-model", "tc-csv-bad-number",
+        "inspect-missing-run", "inspect-truncated-run"])
+def test_main_bad_input_file_or_size_is_config_error(tmp_path, capsys, argv):
+    assert cli.main(argv(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and len(err.splitlines()) == 1
 
 
 def test_main_truncated_cached_run_exit_code(tmp_path):

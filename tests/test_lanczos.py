@@ -9,9 +9,7 @@ from mpotrace import (
     LanczosConfig,
     Mpo,
     NumericalError,
-    StopRule,
     evaluate,
-    evaluate_many,
     exact_bond_cap,
     identity_block,
     identity_mpo,
@@ -106,17 +104,14 @@ def test_evaluate_constant_and_identity():
     assert evaluate(run, lambda lam: lam) == pytest.approx(2.0 * 2 ** length)
 
 
-def test_evaluate_many_matches_dense_exponentials():
+def test_evaluate_matches_dense_exponentials():
     length = 6
     h = ising_mpo(length, 1.0, 1.0)
     run = run_lanczos(h, identity_block(length), untruncated_cfg(length, 40))
     evals = np.linalg.eigvalsh(to_dense(h))
-    fs = [lambda lam, b=b: np.exp(-b * lam) for b in (0.5, 1.0, 2.0)]
-    got = evaluate_many(run, fs)
-    for value, b in zip(got, (0.5, 1.0, 2.0)):
+    for b in (0.5, 1.0, 2.0):
         want = float(np.sum(np.exp(-b * evals)))
-        assert value == pytest.approx(want, rel=1e-8)
-    assert evaluate_many(run, []) == []
+        assert evaluate(run, lambda lam: np.exp(-b * lam)) == pytest.approx(want, rel=1e-8)
 
 
 def test_evaluate_scalar_function_fallback():
@@ -196,39 +191,6 @@ def test_determinism_bitwise():
     assert np.array_equal(a.projection.betas, b.projection.betas)
     assert np.array_equal(a.quadrature.nodes, b.quadrature.nodes)
     assert np.array_equal(a.quadrature.weights, b.quadrature.weights)
-
-
-def test_stop_rule_relative_change():
-    length = 6
-    h = ising_mpo(length, 1.0, 1.0)
-    probe = lambda lam: np.exp(-2.0 * lam)
-    cfg = untruncated_cfg(length, 40, stop_rules=(
-        StopRule("relative-change", 1e-10, probe=probe),))
-    run = run_lanczos(h, identity_block(length), cfg)
-    assert run.projection.termination == "stop-rule"
-    assert run.projection.k < 40
-    # the stopped estimate still matches the dense value well
-    evals = np.linalg.eigvalsh(to_dense(h))
-    got = evaluate(run, probe)
-    assert got == pytest.approx(float(np.sum(np.exp(-2.0 * evals))), rel=1e-6)
-
-
-def test_stop_rule_node_range():
-    length = 6
-    h = ising_mpo(length, 1.0, 1.0)
-    cfg = untruncated_cfg(length, 40, stop_rules=(StopRule("node-range", 1e-12),))
-    run = run_lanczos(h, identity_block(length), cfg)
-    assert run.projection.termination == "stop-rule"
-    assert run.projection.k < 40
-
-
-def test_stop_rule_validation():
-    with pytest.raises(ValueError):
-        StopRule("relative-change", 1e-6)  # probe missing
-    with pytest.raises(ValueError):
-        StopRule("bogus", 1e-6)
-    with pytest.raises(ValueError):
-        StopRule("node-range", -1.0)
 
 
 def test_config_validation():

@@ -4,37 +4,6 @@ import pytest
 from mpotrace import tensor
 
 
-def test_contract_identity_composition():
-    eye = np.eye(2)
-    out = tensor.contract(eye, eye, [(1, 0)])
-    assert np.allclose(out, eye)
-
-
-def test_contract_vector_with_itself():
-    v = np.array([1.0, 2.0, 2.0])
-    out = tensor.contract(v, v, [(0, 0)])
-    assert out.shape == ()
-    assert out == pytest.approx(9.0)
-
-
-def test_contract_pauli_x_transpose():
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-    out = tensor.contract(sx, sx, [(1, 1)])
-    assert np.allclose(out, np.eye(2))
-
-
-def test_contract_axis_ordering_a_then_b():
-    a = np.zeros((2, 3, 4))
-    b = np.zeros((3, 5))
-    out = tensor.contract(a, b, [(1, 0)])
-    assert out.shape == (2, 4, 5)
-
-
-def test_contract_extent_mismatch():
-    with pytest.raises(ValueError, match="mismatch"):
-        tensor.contract(np.zeros((2, 3)), np.zeros((2, 2)), [(1, 0)])
-
-
 def test_truncated_svd_full_rank_kept():
     res = tensor.truncated_svd(np.diag([3.0, 2.0, 1.0]), 3)
     assert np.allclose(res.s, [3.0, 2.0, 1.0])
