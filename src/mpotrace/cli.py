@@ -15,7 +15,7 @@ import hashlib
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .thermal import BetaGrid
 
 # Cache keys carry only the model label, so a change to what a label builds
 # must bump this.
-CACHE_VERSION = 2
+CACHE_VERSION = 3
 
 BASE_COLUMNS = ["model", "L", "param", "T", "logZ", "energy_density", "s", "c", "F_T", "D_T"]
 KNOWN_OUTPUTS = ("s", "c", "F_T", "D_T", "Czz")
@@ -89,7 +89,6 @@ class RunConfig:
     k_max: int = 70
     d_max: int = 60
     breakdown_tol: float = 1e-12
-    reorthogonalize: bool = False
     outputs: tuple = ("s", "c", "F_T", "D_T")
     czz_pairs: tuple = ()
     czz_symmetry: str = "none"
@@ -134,6 +133,9 @@ class RunConfig:
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
 
+    def lanczos_config(self):
+        return LanczosConfig(self.k_max, self.d_max, self.breakdown_tol)
+
     def model_specs(self):
         specs = []
         for length in sorted(self.lengths):
@@ -169,19 +171,11 @@ def _parse_pair(token):
     return int(bits[0]), int(bits[1])
 
 
-def _parse_bool(text):
-    val = str(text).strip().lower()
-    if val in ("1", "true", "yes", "on"):
-        return True
-    if val in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(text)
-
-
 # One row per setting: INI key (section.key), flag dest, RunConfig field,
 # converter and the kind of value it reads, flag help. The flag is the dest
-# with "-" for "_" (delta_t is --delta-t). Flags win over the file; a setting
-# given neither way keeps its RunConfig default.
+# with "-" for "_" (delta_t is --delta-t) and takes one value. Flags win over
+# the file; a setting given neither way keeps its RunConfig default. A key or
+# flag with no row is a config error, never silently ignored.
 _SETTINGS = (
     ("model.family", "model", "family", lambda t: str(t).lower(), "text",
      "model family: ising or lmg"),
@@ -200,8 +194,6 @@ _SETTINGS = (
     ("lanczos.dmax", "dmax", "d_max", int, "integer", "maximal bond dimension"),
     ("lanczos.breakdown_tol", "breakdown_tol", "breakdown_tol", float, "float",
      "breakdown threshold, relative to the starting norm"),
-    ("lanczos.reorthogonalize", "reorthogonalize", "reorthogonalize", _parse_bool, "boolean",
-     "full reorthogonalisation (takes no value)"),
     ("output.quantities", "outputs", "outputs", lambda t: tuple(_items(t)), "text list",
      "comma list from s,c,F_T,D_T,Czz"),
     ("output.czz", "czz", "czz_pairs", lambda t: tuple(map(_parse_pair, _items(t))),
@@ -221,7 +213,10 @@ for _section, _, _key in (row[0].partition(".") for row in _SETTINGS):
 def parse_config_file(path):
     """Read the INI-style run configuration into a plain dict of settings."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:  # e.g. a repeated key or no section header
+        raise ConfigError(" ".join(str(exc).split())) from exc
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
     settings = {}
@@ -263,7 +258,7 @@ def build_run_config(settings, args=None):
 def _cache_key(model_label, start_label, lcfg):
     return (f"v{CACHE_VERSION}|{model_label}|start={start_label}"
             f"|kmax={lcfg.k_max}|dmax={lcfg.d_max}"
-            f"|tol={lcfg.breakdown_tol!r}|reorth={int(lcfg.reorthogonalize)}")
+            f"|tol={lcfg.breakdown_tol!r}")
 
 
 def _cache_path(cache_dir, key):
@@ -288,15 +283,14 @@ def _execute(job):
     """Read one planned run from the cache, or execute (and cache) it.
 
     Runs in a pool worker or in-process; H is rebuilt from its ModelSpec.
-    Returns the run without its basis, as the cache stores it, and whether it
-    was read from the cache.
+    Returns the run and whether it was read from the cache.
     """
     spec, start, lcfg, cache_dir = job
     key = _cache_key(spec.label(), start.label, lcfg)
     path = _cache_path(cache_dir, key) if cache_dir else None
     if path and os.path.exists(path):
         return _load_cached(path, key), True
-    run = replace(lanczos.run_lanczos(spec.build(), start, lcfg, spec.label()), basis=())
+    run = lanczos.run_lanczos(spec.build(), start, lcfg, spec.label())
     if path:
         os.makedirs(cache_dir, exist_ok=True)
         tmp = f"{path}.tmp.{os.getpid()}"
@@ -325,7 +319,7 @@ def run_sweep(cfg):
     check their bounds in-process. ``stats`` counts distinct runs.
     """
     cfg.validate()
-    lcfg = LanczosConfig(cfg.k_max, cfg.d_max, cfg.breakdown_tol, cfg.reorthogonalize)
+    lcfg = cfg.lanczos_config()
     pairs = cfg.czz_pairs if "Czz" in cfg.outputs else ()
     jobs = {}  # cache key -> (spec, start, lcfg, cache_dir)
 
@@ -604,12 +598,18 @@ def _add_sweep_flags(sub):
     sub.add_argument("--config", help="INI config file; flags override its values")
     for _, dest, _, _, _, help_text in _SETTINGS:
         # values stay text: build_run_config turns a bad one into a ConfigError
-        no_value = {"action": "store_const", "const": "true"} if dest == "reorthogonalize" else {}
-        sub.add_argument("--" + dest.replace("_", "-"), dest=dest, help=help_text, **no_value)
+        sub.add_argument("--" + dest.replace("_", "-"), dest=dest, help=help_text)
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad command line (an unknown flag, say) as a ConfigError."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="mpotrace",
         description="Thermal observables of spin chains via MPO Lanczos quadrature",
     )
@@ -638,9 +638,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

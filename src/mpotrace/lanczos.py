@@ -1,8 +1,10 @@
 """Global block Lanczos over the Hilbert-Schmidt inner product.
 
-The three-term recurrence treats whole MPOs as vectors. It produces the
-symmetric tridiagonal projection of a Hermitian input operator onto the
-Krylov subspace built from a positive starting block, and the Gauss
+One plain three-term recurrence treats whole MPOs as vectors: each new
+vector is orthogonalised against its two predecessors only, and earlier
+vectors are neither stored nor projected out. It produces the symmetric
+tridiagonal projection of a Hermitian input operator onto the Krylov
+subspace built from a positive starting block, and the Gauss
 quadrature rule induced by that projection: nodes are the eigenvalues of the
 tridiagonal matrix, weights the squared first eigenvector components scaled
 by the squared starting norm. Evaluating a scalar function on the rule
@@ -39,7 +41,6 @@ class LanczosConfig:
     k_max: int
     d_max: int
     breakdown_tol: float = 1e-12  # relative to the starting norm
-    reorthogonalize: bool = False
 
     def __post_init__(self):
         if self.k_max < 1:
@@ -83,7 +84,6 @@ class LanczosRun:
     compression_log: np.ndarray  # total discarded weight per iteration
     model_label: str = ""
     start_label: str = ""
-    basis: tuple = ()  # stored U_i, only under full reorthogonalization
 
 
 def quadrature_rule(projection):
@@ -98,9 +98,10 @@ def run_lanczos(a, start, cfg, model_label=""):
     Per iteration: beta_i = |V_{i-1}|, U_i = V_{i-1}/beta_i,
     V_i = A U_i - beta_i U_{i-1}, alpha_i = Re<U_i, V_i>,
     V_i -= alpha_i U_i, with every product and sum capped at cfg.d_max.
-    Terminates with "k-max" after cfg.k_max iterations or with "breakdown"
-    when beta falls to breakdown_tol * beta1 or below (a numerically
-    invariant subspace).
+    Only U_{i-1} and U_i are kept; earlier vectors are neither stored nor
+    projected out. Terminates with "k-max" after cfg.k_max iterations or
+    with "breakdown" when beta falls to breakdown_tol * beta1 or below (a
+    numerically invariant subspace).
     """
     if a.length <= _HERMITICITY_CHECK_MAX_L:
         if mpo.hermiticity_defect(a) > 1e-8:
@@ -112,7 +113,6 @@ def run_lanczos(a, start, cfg, model_label=""):
     alphas = []
     betas = []
     comp_log = []
-    basis = []
     termination = "k-max"
     u_prev = None
     v = start.mpo
@@ -141,14 +141,6 @@ def run_lanczos(a, start, cfg, model_label=""):
         alphas.append(alpha)
         w, rep = mpo.add(w, mpo.scale(-alpha, u), cfg.d_max)
         discarded += rep.total_discarded
-        if cfg.reorthogonalize:
-            basis.append(u)
-            for uj in basis:
-                c = mpo.inner_product(uj, w)
-                if c.imag == 0.0:
-                    c = c.real  # keep real chains in real storage
-                w, rep = mpo.add(w, mpo.scale(-c, uj), cfg.d_max)
-                discarded += rep.total_discarded
         comp_log.append(discarded)
         u_prev = u
         v = w
@@ -164,7 +156,6 @@ def run_lanczos(a, start, cfg, model_label=""):
         np.asarray(comp_log, dtype=float),
         model_label,
         start.label,
-        tuple(basis),
     )
 
 

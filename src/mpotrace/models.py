@@ -112,11 +112,10 @@ class StartingBlock:
 
     mpo: Mpo
     label: str
-    squared_norm: float  # trace(B^dag B)
 
 
 def identity_block(length):
-    return StartingBlock(identity_mpo(length), "identity", 2.0 ** length)
+    return StartingBlock(identity_mpo(length), "identity")
 
 
 def projector_block(length, sites):
@@ -142,7 +141,7 @@ def projector_block(length, sites):
             m = ID2
         tensors.append(m.reshape(1, 2, 2, 1))
     label = "*".join(f"P{s}[{i}]" for i, s in sorted(assignment.items())) or "identity"
-    return StartingBlock(Mpo(tensors), label, 2.0 ** (length - len(assignment)))
+    return StartingBlock(Mpo(tensors), label)
 
 
 def zz_decomposition(length, i, j):
@@ -177,6 +176,6 @@ def zz_decomposition(length, i, j):
                 tensors.append(t)
         return Mpo(tensors)
 
-    pos = StartingBlock(block(True), f"P0[{i}]P0[{j}]+P1[{i}]P1[{j}]", 2.0 ** (length - 1))
-    neg = StartingBlock(block(False), f"P1[{i}]P0[{j}]+P0[{i}]P1[{j}]", 2.0 ** (length - 1))
+    pos = StartingBlock(block(True), f"P0[{i}]P0[{j}]+P1[{i}]P1[{j}]")
+    neg = StartingBlock(block(False), f"P1[{i}]P0[{j}]+P0[{i}]P1[{j}]")
     return pos, neg

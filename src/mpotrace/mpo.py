@@ -90,13 +90,6 @@ class Mpo:
         dims = self.bond_dims
         return max(dims) if dims else 1
 
-    @property
-    def phys_dims(self):
-        return [t.shape[1] for t in self.tensors]
-
-    def copy(self):
-        return Mpo([t.copy() for t in self.tensors], validate=False)
-
     def __repr__(self):
         return f"Mpo(L={self.length}, bonds={self.bond_dims})"
 

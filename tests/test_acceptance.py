@@ -156,6 +156,7 @@ def czz_case():
     return result.czz, reference
 
 
+@pytest.mark.slow
 def test_criterion_4_correlator_benchmark(czz_case):
     ours, reference = czz_case
     worst = 0.0
@@ -201,6 +202,7 @@ def lmg_sweep_outcome(tmp_path_factory):
     return outcome
 
 
+@pytest.mark.slow
 def test_criterion_5_phase_transition_signal(lmg_sweep_outcome):
     by_key = {}
     for spec, result in lmg_sweep_outcome.results:

@@ -98,7 +98,7 @@ def test_flags_override_file(tmp_path):
 
     args = Args()
     for name in ("model", "L", "J", "g", "h", "tmin", "tmax", "tstep", "delta_t",
-                 "kmax", "dmax", "breakdown_tol", "reorthogonalize", "outputs",
+                 "kmax", "dmax", "breakdown_tol", "outputs",
                  "czz", "czz_symmetry", "out", "cache", "workers"):
         setattr(args, name, None)
     args.dmax = 32
@@ -161,11 +161,11 @@ def test_run_sweep_cache_round_trip(tmp_path):
 
 
 def test_cache_version_mismatch_is_fatal(tmp_path):
-    from mpotrace import LanczosConfig, identity_block, ising_mpo, run_lanczos, save_run
+    from mpotrace import identity_block, run_lanczos, save_run
     cache = tmp_path / "cache"
     cache.mkdir()
     cfg = small_config(tmp_path, cache_dir=str(cache))
-    lcfg = LanczosConfig(cfg.k_max, cfg.d_max, cfg.breakdown_tol, cfg.reorthogonalize)
+    lcfg = cfg.lanczos_config()
     spec = cfg.model_specs()[0]
     key = cli._cache_key(spec.label(), "identity", lcfg)
     run = run_lanczos(spec.build(), identity_block(spec.length), lcfg, spec.label())
@@ -268,14 +268,14 @@ def test_main_config_error_exit_code(tmp_path, capsys):
 
 
 def test_main_cache_mismatch_exit_code(tmp_path):
-    from mpotrace import LanczosConfig, identity_block, run_lanczos, save_run
+    from mpotrace import identity_block, run_lanczos, save_run
     cache = tmp_path / "cache"
     cache.mkdir()
     args = ["sweep", "--model", "ising", "--L", "4", "--J", "1", "--g", "1",
             "--kmax", "8", "--dmax", "8",
             "--out", str(tmp_path / "y.csv"), "--cache", str(cache)]
     cfg = build_run_config({}, cli.build_parser().parse_args(args))
-    lcfg = LanczosConfig(cfg.k_max, cfg.d_max, cfg.breakdown_tol, cfg.reorthogonalize)
+    lcfg = cfg.lanczos_config()
     spec = cfg.model_specs()[0]
     key = cli._cache_key(spec.label(), "identity", lcfg)
     run = run_lanczos(spec.build(), identity_block(spec.length), lcfg, spec.label())
@@ -297,18 +297,33 @@ def test_main_bad_ini_value_is_config_error(tmp_path):
     assert code == 2
 
 
+# L=12 lies beyond dense sizes; small K and D keep the sweep cheap.
+_LONG_SPIN_FLIP = ["--L", "12", "--J", "1", "--czz-symmetry", "spin-flip", "--kmax", "12",
+                   "--dmax", "8", "--tmin", "1", "--tmax", "1", "--tstep", "1"]
+
+
 @pytest.mark.parametrize("flags", [
     ["--czz", "2:2"],  # a pair needs two sites
     ["--czz", "1:9"],  # site outside 1..L
     ["--J", "nan"],
     ["--g", "inf"],
     ["--g", "1", "--czz-symmetry", "spin-flip"],  # g*sz breaks the spin flip
-], ids=["czz-same-site", "czz-out-of-range", "J-nan", "g-inf", "czz-spin-flip-broken"])
+    [*_LONG_SPIN_FLIP, "--g", "1"],  # the same beyond dense sizes
+    ["--reorthogonalize"],  # a removed setting, not ignored
+], ids=["czz-same-site", "czz-out-of-range", "J-nan", "g-inf", "czz-spin-flip-broken",
+        "czz-spin-flip-broken-L12", "reorthogonalize-flag"])
 def test_main_bad_sweep_input_is_config_error(tmp_path, capsys, flags):
     code = cli.main(["sweep", "--model", "ising", "--L", "4", "--outputs", "s,Czz",
                      "--czz", "1:2", *flags, "--out", str(tmp_path / "x.csv")])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_main_spin_flip_symmetric_long_chain(tmp_path):
+    out = tmp_path / "x.csv"
+    assert cli.main(["sweep", "--model", "ising", "--outputs", "s,Czz", "--czz", "1:2",
+                     *_LONG_SPIN_FLIP, "--g", "0", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[0].endswith(",Czz_1_2")
 
 
 def _truncated_run_file(tmp_path):
@@ -326,6 +341,12 @@ def _csv_file(tmp_path, text):
     return str(path)
 
 
+def _ini_sweep(tmp_path, text):
+    path = tmp_path / "run.ini"
+    path.write_text(text)
+    return ["sweep", "--config", str(path), "--out", str(tmp_path / "x.csv")]
+
+
 @pytest.mark.parametrize("argv", [
     lambda tmp: ["exact", "--model", "ising", "--L", "14", "--J", "1", "--g", "1",
                  "--out", str(tmp / "b.csv")],  # above the dense-oracle guard
@@ -334,8 +355,13 @@ def _csv_file(tmp_path, text):
     lambda tmp: ["tc", _csv_file(tmp, "model,L,param,T,c\nlmg,4,h=0.2,abc,1\n")],
     lambda tmp: ["inspect-run", str(tmp / "missing.lrun")],
     lambda tmp: ["inspect-run", str(_truncated_run_file(tmp))],
+    lambda tmp: _ini_sweep(tmp, "[model]\nfamily = ising\nfamily = lmg\nL = 4\n"),
+    lambda tmp: _ini_sweep(tmp, "family = ising\nL = 4\n"),
+    lambda tmp: _ini_sweep(tmp, "[model]\nfamily = ising\nL = 4\n"
+                                "[lanczos]\nreorthogonalize = true\n"),  # a removed key
 ], ids=["exact-over-guard", "tc-missing-csv", "tc-csv-without-model", "tc-csv-bad-number",
-        "inspect-missing-run", "inspect-truncated-run"])
+        "inspect-missing-run", "inspect-truncated-run", "ini-repeated-key",
+        "ini-no-section-header", "ini-reorthogonalize-key"])
 def test_main_bad_input_file_or_size_is_config_error(tmp_path, capsys, argv):
     assert cli.main(argv(tmp_path)) == 2
     err = capsys.readouterr().err

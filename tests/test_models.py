@@ -78,13 +78,11 @@ def test_projector_block_single_site():
     block = projector_block(3, [(2, 0)])
     assert block.mpo.max_bond == 1
     assert trace(block.mpo) == pytest.approx(4.0)
-    assert block.squared_norm == pytest.approx(4.0)
 
 
 def test_projector_block_two_sites():
     block = projector_block(4, [(1, 0), (3, 1)])
     assert trace(block.mpo) == pytest.approx(4.0)
-    assert block.squared_norm == pytest.approx(frobenius_norm(block.mpo) ** 2, rel=1e-10)
 
 
 def test_projector_block_is_projector():
@@ -123,7 +121,6 @@ def test_zz_decomposition_projectors():
         assert np.allclose(dense @ dense, dense)
         assert trace(block.mpo) == pytest.approx(4.0)
         assert block.mpo.max_bond <= 2
-        assert block.squared_norm == pytest.approx(frobenius_norm(block.mpo) ** 2, rel=1e-10)
 
 
 def test_zz_decomposition_matches_dense_product():

@@ -11,9 +11,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
+@pytest.mark.slow
 def test_perfbench_smoke():
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--smoke"], cwd=ROOT,
                           capture_output=True, text=True, timeout=600)
