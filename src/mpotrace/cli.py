@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import lanczos, models, oracle, thermal
+from . import lanczos, models, mpo, oracle, thermal
 from .lanczos import LanczosConfig, NumericalError
 from .models import ModelSpec
 from .thermal import BetaGrid
@@ -132,6 +132,12 @@ class RunConfig:
             raise ConfigError("czz_symmetry must be none or spin-flip")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        # paths are checked here so that a bad one fails before any run, not after
+        if self.out_path and (os.path.isdir(self.out_path)
+                              or not os.path.isdir(os.path.dirname(self.out_path) or ".")):
+            raise ConfigError(f"output.path: cannot write a file at {self.out_path!r}")
+        if self.cache_dir and os.path.exists(self.cache_dir) and not os.path.isdir(self.cache_dir):
+            raise ConfigError(f"output.cache: {self.cache_dir!r} is not a directory")
 
     def lanczos_config(self):
         return LanczosConfig(self.k_max, self.d_max, self.breakdown_tol)
@@ -493,6 +499,9 @@ def _cmd_exact(args):
     cfg = build_run_config(settings, args)
     if cfg.out_path is None:
         raise ConfigError("an output path is required (--out or output.path)")
+    if args.guard > mpo.DENSE_GUARD:
+        raise ConfigError(f"--guard {args.guard} exceeds the dense-materialization "
+                          f"limit {mpo.DENSE_GUARD}")
     if max(cfg.lengths) > args.guard:
         raise ConfigError(f"model.L: L={max(cfg.lengths)} exceeds the dense-oracle "
                           f"guard {args.guard} (see --guard)")

@@ -29,7 +29,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import tensor
 
@@ -284,7 +283,11 @@ def compress(u, d_max):
     sweep truncates each bond to at most ``d_max`` retained singular values
     (numerically zero ones are dropped as well). Because of the
     canonicalization, each truncation is the bond-wise optimal one in
-    Frobenius norm; the squared discarded weight is reported per bond.
+    Frobenius norm; the squared discarded weight is reported per bond. Both
+    sweeps reach LAPACK through numpy (``np.linalg.qr`` in reduced mode,
+    ``tensor.truncated_svd``): importing scipy would more than double every
+    command's cold start, so it loads only if gesdd fails and the SVD falls
+    back to gesvd.
 
     Parity sectors: an operator that commutes with P = prod sz (every
     shipped Hamiltonian, starting block and Krylov vector) splits each bond
@@ -319,8 +322,7 @@ def compress(u, d_max):
         dl, po, pi, dr = ts[i].shape
         mat = ts[i].reshape(dl * po * pi, dr)
         blocks = _WHOLE if graded is None else _blocks(_row_parity(bonds[i]), graded[i])
-        factors = [scipy.linalg.qr(mat[rows][:, cols], mode="economic", check_finite=False)
-                   for _, rows, cols in blocks]
+        factors = [np.linalg.qr(mat[rows][:, cols]) for _, rows, cols in blocks]
         if graded is None:
             (q, r), = factors
             ts[i] = q.reshape(dl, po, pi, q.shape[1])

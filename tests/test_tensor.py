@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mpotrace import tensor
 
@@ -52,6 +53,26 @@ def test_truncated_svd_parseval(seed):
     assert res.discarded_weight <= 1e-20 * fro2
 
 
+@pytest.mark.parametrize("rank, max_rank", [(20, 8), (5, 8)])
+def test_truncated_svd_gesvd_fallback_matches_scipy(monkeypatch, rank, max_rank):
+    rng = np.random.default_rng(rank)
+    m = (rng.standard_normal((30, rank)) * 0.7 ** np.arange(rank)) @ rng.standard_normal((rank, 20))
+    u_ref, s_ref, vh_ref = scipy.linalg.svd(m, full_matrices=False, lapack_driver="gesvd")
+
+    def gesdd_fails(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(tensor.np.linalg, "svd", gesdd_fails)
+    res = tensor.truncated_svd(m, max_rank)
+    k = min(rank, max_rank)  # the keep rule: the cap, and no numerically zero value
+    assert res.s.size == k == tensor.kept_rank(s_ref, max_rank)
+    assert res.u.shape == (30, k) and res.vh.shape == (k, 20)
+    np.testing.assert_allclose(res.s, s_ref[:k], rtol=1e-12)
+    assert res.discarded_weight == pytest.approx(np.sum(s_ref[k:] ** 2), rel=1e-12, abs=1e-24)
+    ref = (u_ref[:, :k] * s_ref[:k]) @ vh_ref[:k]
+    assert np.linalg.norm((res.u * res.s) @ res.vh - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 def test_symtridiag_eig_1x1():
     lam, vec = tensor.symtridiag_eig([5.0], [])
     assert np.allclose(lam, [5.0])
@@ -94,3 +115,28 @@ def test_symtridiag_eig_residual(k):
         residual = np.linalg.norm(t @ vec[:, j] - lam[j] * vec[:, j])
         assert residual <= 1e-10 * scale
     assert np.linalg.norm(vec.T @ vec - np.eye(k)) <= 1e-10 * k
+
+
+def _tridiagonal(kind, k, rng):
+    if kind == "random":
+        return rng.standard_normal(k), np.abs(rng.standard_normal(k - 1))
+    if kind == "clustered":  # three tight clusters of diagonal values
+        return rng.choice([-1.0, 0.5, 2.0], k) + 1e-9 * rng.standard_normal(k), \
+            1e-3 * np.abs(rng.standard_normal(k - 1))
+    return rng.standard_normal(k), np.full(k - 1, 1e-13)  # nearly diagonal
+
+
+@pytest.mark.parametrize("kind", ["random", "clustered", "tiny-offdiagonal"])
+@pytest.mark.parametrize("k", [2, 7, 40, 200])
+def test_symtridiag_eig_matches_scipy(k, kind):
+    rng = np.random.default_rng(k)
+    alpha, beta = _tridiagonal(kind, k, rng)
+    lam, vec = tensor.symtridiag_eig(alpha, beta)
+    lam_ref, vec_ref = scipy.linalg.eigh_tridiagonal(alpha, beta)
+    t_norm = np.linalg.norm(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1), 2)
+    assert np.max(np.abs(lam - lam_ref)) <= 1e-12 * t_norm
+    # Single Gauss weights are ill-conditioned inside a cluster; their sums are not.
+    for b in (0.1, 1.0, 10.0):
+        gauss = np.sum(vec[0] ** 2 * np.exp(-b * (lam - lam[0])))
+        gauss_ref = np.sum(vec_ref[0] ** 2 * np.exp(-b * (lam_ref - lam_ref[0])))
+        assert gauss == pytest.approx(gauss_ref, rel=1e-12)
