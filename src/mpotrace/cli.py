@@ -26,7 +26,7 @@ from .thermal import BetaGrid
 
 # Cache keys carry only the model label, so a change to what a label builds
 # must bump this.
-CACHE_VERSION = 3
+CACHE_VERSION = 4
 
 BASE_COLUMNS = ["model", "L", "param", "T", "logZ", "energy_density", "s", "c", "F_T", "D_T"]
 KNOWN_OUTPUTS = ("s", "c", "F_T", "D_T", "Czz")
@@ -54,7 +54,6 @@ class PeakEstimate:
 
     location: float
     uncertainty: float
-    value: float
 
 
 @dataclass(frozen=True)
@@ -88,7 +87,6 @@ class RunConfig:
     delta_t: float = None
     k_max: int = 70
     d_max: int = 60
-    breakdown_tol: float = 1e-12
     outputs: tuple = ("s", "c", "F_T", "D_T")
     czz_pairs: tuple = ()
     czz_symmetry: str = "none"
@@ -107,14 +105,20 @@ class RunConfig:
             raise ConfigError("model.h must list at least one field value for lmg")
         if not all(math.isfinite(x) for x in (self.j_coupling, self.g_field, *self.h_fields)):
             raise ConfigError("model couplings J, g and h must be finite")
+        # a coupling the family does not read would be silently dropped
+        if self.family == "ising" and self.h_fields:
+            raise ConfigError("model.h is the lmg field; ising takes J and g")
+        if self.family == "lmg" and (self.j_coupling or self.g_field):
+            raise ConfigError("model.J and model.g are ising couplings; lmg takes h")
+        for name, values in (("model.L", self.lengths), ("model.h", self.h_fields)):
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{name} lists a value twice: {list(values)}")
         if not (self.tmin > 0 and self.tmax >= self.tmin and self.tstep > 0):
             raise ConfigError("grid requires 0 < tmin <= tmax and tstep > 0")
         if self.delta_t is not None and not self.delta_t > 0:
             raise ConfigError("grid.delta_t must be positive")
         if self.k_max < 1 or self.d_max < 1:
             raise ConfigError("lanczos.kmax and lanczos.dmax must be >= 1")
-        if not 0.0 < self.breakdown_tol < 1.0:
-            raise ConfigError("lanczos.breakdown_tol must lie in (0, 1)")
         if not self.outputs:
             raise ConfigError("output.quantities must not be empty")
         unknown = [o for o in self.outputs if o not in KNOWN_OUTPUTS]
@@ -140,7 +144,7 @@ class RunConfig:
             raise ConfigError(f"output.cache: {self.cache_dir!r} is not a directory")
 
     def lanczos_config(self):
-        return LanczosConfig(self.k_max, self.d_max, self.breakdown_tol)
+        return LanczosConfig(self.k_max, self.d_max)
 
     def model_specs(self):
         specs = []
@@ -198,8 +202,6 @@ _SETTINGS = (
      "temperature offset for F_T/D_T (default: tstep)"),
     ("lanczos.kmax", "kmax", "k_max", int, "integer", "maximal Krylov dimension"),
     ("lanczos.dmax", "dmax", "d_max", int, "integer", "maximal bond dimension"),
-    ("lanczos.breakdown_tol", "breakdown_tol", "breakdown_tol", float, "float",
-     "breakdown threshold, relative to the starting norm"),
     ("output.quantities", "outputs", "outputs", lambda t: tuple(_items(t)), "text list",
      "comma list from s,c,F_T,D_T,Czz"),
     ("output.czz", "czz", "czz_pairs", lambda t: tuple(map(_parse_pair, _items(t))),
@@ -263,8 +265,7 @@ def build_run_config(settings, args=None):
 
 def _cache_key(model_label, start_label, lcfg):
     return (f"v{CACHE_VERSION}|{model_label}|start={start_label}"
-            f"|kmax={lcfg.k_max}|dmax={lcfg.d_max}"
-            f"|tol={lcfg.breakdown_tol!r}")
+            f"|kmax={lcfg.k_max}|dmax={lcfg.d_max}")
 
 
 def _cache_path(cache_dir, key):
@@ -433,7 +434,7 @@ def find_peak(ts, values, kind="max"):
         raise PeakOnBoundaryError(float(ts[idx]))
     t3 = ts[idx - 1: idx + 2]
     v3 = values[idx - 1: idx + 2]
-    a, b, c = np.polyfit(t3, v3, 2)
+    a, b, _ = np.polyfit(t3, v3, 2)
     if a == 0.0:
         vertex = float(ts[idx])
     else:
@@ -442,8 +443,7 @@ def find_peak(ts, values, kind="max"):
         vertex = float(ts[idx])
     half_step = 0.5 * float(t3[2] - t3[0]) / 2.0
     unc = max(half_step, abs(vertex - float(ts[idx])))
-    height = float(np.polyval([a, b, c], vertex))
-    return PeakEstimate(vertex, unc, height)
+    return PeakEstimate(vertex, unc)
 
 
 def extrapolate_tc(sizes, peaks):
@@ -520,7 +520,12 @@ def _cmd_exact(args):
 
 
 def _read_series(paths, observable):
-    """Collect (model,param) -> {L: (T array, value array)} from sweep CSVs."""
+    """Collect (model,param) -> {L: (T array, value array)} from sweep CSVs.
+
+    Each file must hold at least one row, every T and value must be finite,
+    and a T may appear once per (model, param, L): a repeat (the same file
+    twice, or overlapping sweeps) would bias the peak fit.
+    """
     groups = {}
     for path in paths:
         try:
@@ -532,19 +537,28 @@ def _read_series(paths, observable):
             for column in ("model", "L", "param", "T", observable):
                 if reader.fieldnames is None or column not in reader.fieldnames:
                     raise ConfigError(f"{path}: no column {column!r}")
+            empty = True
             for row in reader:
+                empty = False
+                where = f"{path}, line {reader.line_num}"
                 try:
-                    point = (float(row["T"]), float(row[observable]))
+                    t, value = float(row["T"]), float(row[observable])
                     length = int(row["L"])
                 except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"{path}, line {reader.line_num}: {exc}") from exc
-                bucket = groups.setdefault((row["model"], row["param"]), {})
-                bucket.setdefault(length, []).append(point)
+                    raise ConfigError(f"{where}: {exc}") from exc
+                if not (math.isfinite(t) and math.isfinite(value)):
+                    raise ConfigError(f"{where}: T and {observable} must be finite")
+                series = groups.setdefault((row["model"], row["param"]), {}).setdefault(length, {})
+                if t in series:
+                    raise ConfigError(f"{where}: T={t} repeated for {row['model']} "
+                                      f"{row['param']} L={length}")
+                series[t] = value
+            if empty:
+                raise ConfigError(f"{path}: no data rows")
     for key in groups:
-        for length in groups[key]:
-            pts = sorted(groups[key][length])
-            groups[key][length] = (np.array([p[0] for p in pts]),
-                                   np.array([p[1] for p in pts]))
+        for length, series in groups[key].items():
+            ts = np.array(sorted(series))
+            groups[key][length] = (ts, np.array([series[t] for t in ts]))
     return groups
 
 

@@ -14,7 +14,6 @@ import numpy as np
 from .mpo import Mpo, identity_mpo
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
-SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
 ID2 = np.eye(2)
 P0 = np.array([[1.0, 0.0], [0.0, 0.0]])  # |0><0|

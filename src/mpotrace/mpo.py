@@ -95,10 +95,9 @@ class Mpo:
 
 @dataclass(frozen=True)
 class CompressionReport:
-    """Discarded squared weight per internal bond and the resulting max bond."""
+    """Discarded squared weight per internal bond."""
 
     discarded_weights: np.ndarray
-    max_bond: int
 
     @property
     def total_discarded(self):
@@ -106,7 +105,7 @@ class CompressionReport:
 
 
 def _clean_report(u):
-    return CompressionReport(np.zeros(max(u.length - 1, 0)), u.max_bond)
+    return CompressionReport(np.zeros(max(u.length - 1, 0)))
 
 
 def exact_bond_cap(length, phys_dim=2):
@@ -140,7 +139,7 @@ def frobenius_norm(u):
     """sqrt(<u, u>); the imaginary part of <u, u> must vanish to 1e-10 relative."""
     z = inner_product(u, u)
     if abs(z) > 0.0 and abs(z.imag) > 1e-10 * abs(z):
-        raise ArithmeticError(f"<u,u> = {z} is not real")
+        raise ArithmeticError(f"<u,u> = {z} has an imaginary part")
     return float(np.sqrt(max(z.real, 0.0)))
 
 
@@ -161,6 +160,19 @@ def scale(c, u):
 def dagger(u):
     """Hermitian adjoint: conjugate site tensors and swap physical legs."""
     return Mpo([t.conj().transpose(0, 2, 1, 3) for t in u.tensors], validate=False)
+
+
+def relative_distance(a, b):
+    """|a - b| / |a| in the Frobenius norm, at any chain length.
+
+    The difference is compressed at its own max bond, which truncates nothing
+    but puts it in canonical form: its norm is then carried by one site, so a
+    small distance is not lost to the cancellation inside <d, d> that the raw
+    direct sum would suffer. No 2^L object is formed.
+    """
+    diff, _ = add(a, scale(-1.0, b))
+    diff, _ = compress(diff, diff.max_bond)
+    return frobenius_norm(diff) / max(frobenius_norm(a), 1e-300)
 
 
 def _maybe_compress(w, d_max):
@@ -314,7 +326,7 @@ def compress(u, d_max):
     length = u.length
     ts = list(u.tensors)
     if length == 1:
-        return Mpo([ts[0].copy()], validate=False), CompressionReport(np.zeros(0), 1)
+        return Mpo([ts[0].copy()], validate=False), CompressionReport(np.zeros(0))
     graded = _bond_parities(ts) if d_max >= _SECTOR_MIN_D else None
     bonds = [np.zeros(1, dtype=np.int8)]  # parity of each bond left of site i, as rebuilt
     q_blocks = [None] * length
@@ -364,8 +376,7 @@ def compress(u, d_max):
         ts[i] = vh_all.reshape(off, po, pi, dr)
         ts[i - 1] = prev.reshape(*prev_shape, off)
         right = np.repeat(np.int8([p for p, _, _ in blocks]), kept)
-    w = Mpo(ts, validate=False)
-    return w, CompressionReport(discarded, w.max_bond)
+    return Mpo(ts, validate=False), CompressionReport(discarded)
 
 
 def to_dense(u, guard=DENSE_GUARD):
@@ -379,15 +390,6 @@ def to_dense(u, guard=DENSE_GUARD):
         tmp = tmp.transpose(0, 2, 1, 3, 4)
         out = tmp.reshape(big_o * po, big_i * pi, r)
     return np.ascontiguousarray(out[:, :, 0])
-
-
-def hermiticity_defect(u, guard=DENSE_GUARD):
-    """Relative Frobenius distance of the dense operator from its adjoint."""
-    m = to_dense(u, guard)
-    nrm = np.linalg.norm(m)
-    if nrm == 0.0:
-        return 0.0
-    return float(np.linalg.norm(m - m.conj().T) / nrm)
 
 
 def save_mpo(u, path):

@@ -216,15 +216,11 @@ def expectation(parts, z_run, betas):
 def _spin_flip_defect(h):
     """|H - X H X| / |H| with X = sx on every site, at any chain length.
 
-    X H X conjugates each site tensor by sx. The difference is compressed at
-    its own max bond, which truncates nothing but puts it in canonical form,
-    so its norm is not lost to the cancellation inside <d, d>.
+    X H X conjugates each site tensor by sx.
     """
     flipped = mpo.Mpo([np.einsum("oa,labr,bi->loir", models.SX, t, models.SX)
                        for t in h.tensors])
-    diff, _ = mpo.add(h, mpo.scale(-1.0, flipped))
-    diff, _ = mpo.compress(diff, diff.max_bond)
-    return mpo.frobenius_norm(diff) / max(mpo.frobenius_norm(h), 1e-300)
+    return mpo.relative_distance(h, flipped)
 
 
 def zz_blocks(h, i, j, symmetry="none"):

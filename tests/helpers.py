@@ -11,7 +11,9 @@ import scipy.linalg
 from mpotrace import Mpo, tensor
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
+SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
+SP = np.array([[0.0, 1.0], [0.0, 0.0]])  # sigma+, real and not symmetric
 ID2 = np.eye(2)
 
 
@@ -110,3 +112,30 @@ def random_graded_mpo(rng, length, bond, complex_entries=True):
         tensors.append(np.where(allowed, t, 0.0))
         left = right
     return Mpo(tensors)
+
+
+def _nearest_neighbour_chain(length, left_ops, right_ops, field):
+    """MPO of sum_i sum_k left_k(i) right_k(i+1) + sum_i field(i), open chain."""
+    n = len(left_ops) + 2
+    w = np.zeros((n, 2, 2, n), dtype=complex)
+    w[0, :, :, 0] = ID2
+    w[-1, :, :, -1] = ID2
+    w[0, :, :, -1] = field
+    for k, (left, right) in enumerate(zip(left_ops, right_ops), start=1):
+        w[0, :, :, k] = left
+        w[k, :, :, -1] = right
+    if not np.any(w.imag):
+        w = w.real
+    return Mpo([w[:1]] + [w] * (length - 2) + [w[:, :, :, -1:]])
+
+
+def dm_chain_mpo(length, j_coupling, d_coupling, g_field):
+    """J sx sx + D (sx sy - sy sx) on every bond plus g sz: Hermitian, complex."""
+    return _nearest_neighbour_chain(length, [SX, SY],
+                                    [j_coupling * SX + d_coupling * SY, -d_coupling * SX],
+                                    g_field * SZ)
+
+
+def raising_chain_mpo(length):
+    """sigma+ sx on every bond plus sz: real, graded and not symmetric."""
+    return _nearest_neighbour_chain(length, [SP], [SX], SZ)

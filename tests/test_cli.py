@@ -101,7 +101,7 @@ def test_flags_override_file(tmp_path):
 
     args = Args()
     for name in ("model", "L", "J", "g", "h", "tmin", "tmax", "tstep", "delta_t",
-                 "kmax", "dmax", "breakdown_tol", "outputs",
+                 "kmax", "dmax", "outputs",
                  "czz", "czz_symmetry", "out", "cache", "workers"):
         setattr(args, name, None)
     args.dmax = 32
@@ -342,13 +342,21 @@ _LONG_SPIN_FLIP = ["--L", "12", "--J", "1", "--czz-symmetry", "spin-flip", "--km
     ["--g", "1", "--czz-symmetry", "spin-flip"],  # g*sz breaks the spin flip
     [*_LONG_SPIN_FLIP, "--g", "1"],  # the same beyond dense sizes
     ["--reorthogonalize"],  # a removed setting, not ignored
+    ["--breakdown-tol", "1e-10"],  # likewise
+    ["--h", "0.5"],  # the LMG field would be dropped for ising
+    ["--model", "lmg", "--h", "0.2", "--g", "0.3"],  # the Ising field would be dropped
+    ["--model", "lmg", "--h", "0.2", "--J", "1"],
+    ["--L", "4,4,6"],  # the L=4 block would be written twice
+    ["--model", "lmg", "--h", "0.5,0.5"],
 ], ids=["czz-same-site", "czz-out-of-range", "J-nan", "g-inf", "czz-spin-flip-broken",
-        "czz-spin-flip-broken-L12", "reorthogonalize-flag"])
+        "czz-spin-flip-broken-L12", "reorthogonalize-flag", "breakdown-tol-flag",
+        "ising-with-h", "lmg-with-g", "lmg-with-J", "L-repeated", "h-repeated"])
 def test_main_bad_sweep_input_is_config_error(tmp_path, capsys, flags):
     code = cli.main(["sweep", "--model", "ising", "--L", "4", "--outputs", "s,Czz",
                      "--czz", "1:2", *flags, "--out", str(tmp_path / "x.csv")])
     assert code == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and len(err.splitlines()) == 1
 
 
 def test_main_spin_flip_symmetric_long_chain(tmp_path):
@@ -371,6 +379,12 @@ def _csv_file(tmp_path, text):
     path = tmp_path / "in.csv"
     path.write_text(text)
     return str(path)
+
+
+# c(T) of two sizes with interior peaks: on its own, tc extrapolates from it.
+_PEAKS_CSV = "model,L,param,T,c\n" + "".join(
+    f"lmg,{length},h=0.5,{t},{1 - (t - 0.3 - 1 / length) ** 2}\n"
+    for length in (6, 8) for t in (0.2, 0.3, 0.4, 0.5, 0.6))
 
 
 def _ini_sweep(tmp_path, text):
@@ -399,10 +413,18 @@ def _ini_sweep(tmp_path, text):
                  "--cache", _csv_file(tmp, ""), "--out", str(tmp / "x.csv")],
     lambda tmp: ["exact", "--model", "ising", "--L", "15", "--J", "1", "--g", "1",
                  "--guard", "16", "--out", str(tmp / "x.csv")],  # no 2^15 matrix is built
+    lambda tmp: _ini_sweep(tmp, "[model]\nfamily = ising\nL = 4\n"
+                                "[lanczos]\nbreakdown_tol = 1e-10\n"),  # a removed key
+    lambda tmp: ["tc", *[_csv_file(tmp, _PEAKS_CSV)] * 2],  # every T twice
+    lambda tmp: ["tc", _csv_file(tmp, _PEAKS_CSV + "lmg,8,h=0.5,0.25,nan\n")],
+    lambda tmp: ["tc", _csv_file(tmp, _PEAKS_CSV + "lmg,8,h=0.5,inf,0.5\n")],
+    lambda tmp: ["tc", _csv_file(tmp, "model,L,param,T,c\n")],
 ], ids=["exact-over-guard", "tc-missing-csv", "tc-csv-without-model", "tc-csv-bad-number",
         "inspect-missing-run", "inspect-truncated-run", "ini-repeated-key",
         "ini-no-section-header", "ini-reorthogonalize-key", "sweep-out-dir-missing",
-        "sweep-out-is-dir", "sweep-cache-is-file", "exact-guard-above-limit"])
+        "sweep-out-is-dir", "sweep-cache-is-file", "exact-guard-above-limit",
+        "ini-breakdown-tol-key", "tc-csv-repeated-rows", "tc-csv-nan-value", "tc-csv-inf-T",
+        "tc-csv-no-rows"])
 def test_main_bad_input_file_or_size_is_config_error(tmp_path, capsys, argv):
     assert cli.main(argv(tmp_path)) == 2
     err = capsys.readouterr().err

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from helpers import random_hermitian_mpo, random_mpo
+from helpers import dm_chain_mpo, raising_chain_mpo, random_hermitian_mpo, random_mpo
 from mpotrace import (
     LanczosConfig,
     Mpo,
@@ -22,6 +22,7 @@ from mpotrace import (
     trace,
 )
 from mpotrace.models import StartingBlock
+from mpotrace.thermal import partition_traces
 
 
 def untruncated_cfg(length, k_max):
@@ -158,6 +159,42 @@ def test_non_hermitian_input_rejected():
         run_lanczos(a, identity_block(3), untruncated_cfg(3, 4))
 
 
+@pytest.mark.parametrize("length", [8, 12])
+def test_real_non_symmetric_input_rejected_beyond_dense_sizes(length):
+    a = raising_chain_mpo(length)  # real storage, so every alpha is real
+    with pytest.raises(ValueError, match="Hermitian"):
+        run_lanczos(a, identity_block(length), LanczosConfig(k_max=10, d_max=8))
+
+
+def _dm_chain(length):
+    return dm_chain_mpo(length, 1.0, 0.7, 0.5)
+
+
+@pytest.mark.parametrize("d_max", [8, 16])
+def test_complex_hermitian_chain_runs_under_truncation(d_max):
+    # truncation leaves Im alpha of order 1e-3..1e-6 here, which is noise
+    length = 8
+    h = _dm_chain(length)
+    dense = to_dense(h)
+    assert np.array_equal(dense, dense.conj().T)
+    run = run_lanczos(h, identity_block(length), LanczosConfig(20, d_max))
+    assert run.projection.k == 20
+    assert run.compression_log.max() > 0.0
+
+
+def test_complex_hermitian_chain_converges_in_bond_dimension():
+    length, beta = 10, 2.0
+    h = _dm_chain(length)
+    evals = np.linalg.eigvalsh(to_dense(h))
+    want = -beta * evals[0] + np.log(np.sum(np.exp(-beta * (evals - evals[0]))))
+
+    def log_z_error(d_max):
+        run = run_lanczos(h, identity_block(length), LanczosConfig(20, d_max))
+        return abs(partition_traces(run, [beta])[0][0] - want)
+
+    assert log_z_error(32) < log_z_error(16)
+
+
 def test_truncation_is_logged():
     length = 6
     h = ising_mpo(length, 1.0, 1.0)
@@ -184,8 +221,6 @@ def test_config_validation():
         LanczosConfig(k_max=0, d_max=4)
     with pytest.raises(ValueError):
         LanczosConfig(k_max=4, d_max=0)
-    with pytest.raises(ValueError):
-        LanczosConfig(k_max=4, d_max=4, breakdown_tol=2.0)
 
 
 def test_run_serialization_round_trip(tmp_path):
@@ -231,8 +266,8 @@ def test_run_serialization_rejects_garbage(tmp_path):
 
 
 def test_alpha_hermiticity_guard():
-    # imaginary diagonal coefficients cannot arise from Hermitian input, and
-    # non-Hermitian input is rejected before the recurrence starts
+    # complex non-Hermitian input is rejected on the MPO, before any diagonal
+    # coefficient alpha is computed
     t = np.zeros((1, 2, 2, 1), dtype=complex)
     t[0, 0, 1, 0] = 1.0  # raising operator, not Hermitian
     a = Mpo([t, np.eye(2).reshape(1, 2, 2, 1)])
