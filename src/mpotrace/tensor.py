@@ -36,7 +36,8 @@ def truncated_svd(m, max_rank):
 
     Numerically zero singular values (below RANK_TOL * sigma_max) are dropped
     as well; at least one triplet is always kept so downstream bond extents
-    stay >= 1.
+    stay >= 1. The returned ``u`` and ``vh`` own their memory, so an MPO
+    site built from one does not keep the discarded triplets alive.
     """
     if max_rank < 1:
         raise ValueError("max_rank must be >= 1")
@@ -52,7 +53,9 @@ def truncated_svd(m, max_rank):
         u, s, vh = scipy.linalg.svd(m, full_matrices=False, lapack_driver="gesvd")
     k = kept_rank(s, max_rank)
     discarded = float(np.sum(s[k:] ** 2))
-    return SvdResult(u[:, :k], s[:k], vh[:k], discarded)
+    if k < s.size:  # a kept slice would pin the whole factor for as long as it lives
+        u, vh = u[:, :k].copy(), vh[:k].copy()
+    return SvdResult(u, s[:k], vh, discarded)
 
 
 def kept_rank(s, max_rank):

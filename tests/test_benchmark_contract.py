@@ -4,7 +4,8 @@
 marked slow. This quick check only imports the benchmark's own modules (it
 never edits them): every layer function the tracer wraps resolves, and every
 workload builds sweep points that validate and answer what ``run.py`` asks
-of them.
+of them, and the compressions inside capped products and sums stay visible to
+the tracer.
 """
 
 import dataclasses
@@ -12,7 +13,9 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from helpers import random_graded_mpo
 
 import mpotrace
 import mpotrace.cli  # noqa: F401  (the tracer wraps cli functions)
@@ -49,3 +52,18 @@ def test_every_workload_builds_valid_points(tmp_path, seed, small):
             assert cfg.temperatures().size > 0
             assert cfg.effective_delta_t() > 0
             assert cfg.model_specs()
+
+
+def test_capped_products_and_sums_are_traced_compressions():
+    # lanczos' compressions all happen inside capped multiply and add calls
+    length, bond = 12, 60
+    rng = np.random.default_rng(0)
+    a = mpotrace.lmg_mpo(length, 0.2)
+    u = random_graded_mpo(rng, length, bond, complex_entries=False)
+    v = random_graded_mpo(rng, length, bond, complex_entries=False)
+    with _load("tracing").Tracer(mpotrace) as tracer:
+        mpotrace.mpo.multiply(a, u, bond)
+        mpotrace.mpo.add(u, v, bond)
+    assert tracer.stats["mpo.compress.calls"] == 2
+    # the hook reads the input's bonds after compress has consumed it
+    assert tracer.stats["mpo.compress.bond_in_max"] == 3 * bond

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -427,3 +429,89 @@ def test_every_compression_of_an_ising_run_splits(monkeypatch):
     run_lanczos(ising_mpo(length, 1.0, 1.0), identity_block(length), LanczosConfig(20, 32))
     assert per_call
     assert all(n > length - 1 for n in per_call)
+
+
+# ---------------------------------------------------------------------------
+# memory: compress consumes the sums and products that add and multiply build
+
+def _capped_call(length, bond, name, complex_entries=False):
+    """A product or sum of bond-``bond`` chains, as a function of ``d_max``.
+
+    At ``d_max=bond`` the cap truncates it: graded inputs take the split
+    path at bond 60 and the one-sector path at bond 24.
+    """
+    rng = np.random.default_rng(length)
+    a = lmg_mpo(length, 0.2)
+    u = random_graded_mpo(rng, length, bond, complex_entries=complex_entries)
+    v = random_graded_mpo(rng, length, bond, complex_entries=complex_entries)
+    if name == "multiply":
+        return lambda d_max=None: multiply(a, u, d_max)
+    return lambda d_max=None: add(u, v, d_max)
+
+
+_CAPPED = pytest.mark.parametrize("length,bond,name", [
+    (12, 60, "multiply"), (12, 60, "add"), (8, 24, "multiply"), (8, 24, "add")])
+
+
+def _owner(t):
+    while isinstance(t.base, np.ndarray):
+        t = t.base
+    return t
+
+
+@_CAPPED
+def test_capped_call_peaks_near_its_uncompressed_result(length, bond, name):
+    call = _capped_call(length, bond, name)
+    uncompressed = sum(t.nbytes for t in call()[0].tensors)
+    tracemalloc.start()
+    try:
+        call(bond)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # holding the uncompressed operator, a working copy and every Q block read 2.1-2.3x
+    assert peak <= 1.5 * uncompressed, peak / uncompressed
+
+
+@pytest.mark.parametrize("d_max", [16, 40])  # one-sector and split path
+@pytest.mark.parametrize("graded", [True, False])
+def test_compress_leaves_a_plain_input_untouched(graded, d_max):
+    rng = np.random.default_rng(51)
+    u = random_graded_mpo(rng, 8, 48) if graded else random_mpo(rng, 8, 48)
+    assert (mpo._bond_parities(u.tensors) is not None) == graded
+    before = list(u.tensors)
+    values = [t.copy() for t in before]
+    compress(u, d_max)
+    assert len(u.tensors) == len(before)
+    assert all(t is b for t, b in zip(u.tensors, before))
+    for t, v in zip(u.tensors, values):
+        assert np.array_equal(t, v)
+
+
+@_CAPPED
+def test_sums_and_products_are_plain_mpos(length, bond, name):
+    call = _capped_call(length, bond, name)
+    for d_max in (None, bond, 10 ** 6):  # exact, compressed, under the cap
+        out, _ = call(d_max)
+        assert type(out) is Mpo, d_max
+
+
+@_CAPPED
+def test_capped_call_is_compress_of_the_exact_result(length, bond, name):
+    call = _capped_call(length, bond, name, complex_entries=True)
+    out, report = call(bond)
+    ref, ref_report = compress(call()[0], bond)
+    assert out.bond_dims == ref.bond_dims
+    for t, r in zip(out.tensors, ref.tensors):
+        assert np.array_equal(t, r)
+    assert np.array_equal(report.discarded_weights, ref_report.discarded_weights)
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+@_CAPPED
+def test_compressed_tensors_own_their_memory(length, bond, name, complex_entries):
+    # a kept slice of an SVD factor would pin the whole factor
+    out, report = _capped_call(length, bond, name, complex_entries)(bond)
+    assert report.total_discarded > 0.0
+    for i, t in enumerate(out.tensors):
+        assert _owner(t).nbytes == t.nbytes, i
