@@ -251,6 +251,7 @@ def multiply(a, u, d_max=None):
 
 
 def _site_product(ta, tu):
+    """Site of the operator product: the bond extents multiply."""
     t = np.tensordot(ta, tu, axes=(2, 1))  # (la, o, ra, lu, i, ru)
     t = t.transpose(0, 3, 1, 4, 2, 5)
     la, lu, po, pi, ra, ru = t.shape
