@@ -126,6 +126,13 @@ class RunConfig:
             raise ConfigError(f"unknown output quantities: {unknown}")
         if "Czz" in self.outputs and not self.czz_pairs:
             raise ConfigError("Czz requested but no site pairs given")
+        # correlator settings without Czz would be silently dropped
+        if "Czz" not in self.outputs and (self.czz_pairs or self.czz_symmetry != "none"):
+            raise ConfigError("output.czz and output.czz_symmetry need Czz among the outputs")
+        # a pair twice, in either order, is the same quantity under a repeated column name
+        unordered = [frozenset(pair) for pair in self.czz_pairs]
+        if len(set(unordered)) != len(unordered):
+            raise ConfigError(f"output.czz lists a pair twice: {list(self.czz_pairs)}")
         for i, j in self.czz_pairs:
             if i == j:
                 raise ConfigError(f"correlator pair {i}:{j}: sites must differ")
@@ -327,7 +334,6 @@ def run_sweep(cfg):
     """
     cfg.validate()
     lcfg = cfg.lanczos_config()
-    pairs = cfg.czz_pairs if "Czz" in cfg.outputs else ()
     jobs = {}  # cache key -> (spec, start, lcfg, cache_dir)
 
     def plan(spec, start):
@@ -339,7 +345,8 @@ def run_sweep(cfg):
     for spec in cfg.model_specs():
         h = spec.build()
         try:  # the pairs and the mode are validated; only the symmetry check is left
-            blocks = {pair: thermal.zz_blocks(h, *pair, cfg.czz_symmetry) for pair in pairs}
+            blocks = {pair: thermal.zz_blocks(h, *pair, cfg.czz_symmetry)
+                      for pair in cfg.czz_pairs}
         except ValueError as exc:
             raise ConfigError(f"output.czz_symmetry {cfg.czz_symmetry} "
                               f"for {spec.label()}: {exc}") from exc
@@ -377,7 +384,7 @@ def run_sweep(cfg):
     results.sort(key=lambda item: (item[0].length, item[0].param_text()))
     outcome = SweepOutcome(results, stats)
     if cfg.out_path:
-        write_sweep_csv(cfg.out_path, results, pairs)
+        write_sweep_csv(cfg.out_path, results, cfg.czz_pairs)
         outcome.csv_path = cfg.out_path
     return outcome
 
@@ -507,13 +514,12 @@ def _cmd_exact(args):
                           f"guard {args.guard} (see --guard)")
     temps = cfg.temperatures()
     grid = BetaGrid.from_temperatures(temps, cfg.effective_delta_t())
-    pairs = cfg.czz_pairs if "Czz" in cfg.outputs else ()
     results = []
     for spec in cfg.model_specs():
         spectrum = oracle.exact_spectrum(spec.build(), guard=args.guard)
-        results.append((spec, oracle.exact_observables(spectrum, grid, pairs)))
+        results.append((spec, oracle.exact_observables(spectrum, grid, cfg.czz_pairs)))
     results.sort(key=lambda item: (item[0].length, item[0].param_text()))
-    write_sweep_csv(cfg.out_path, results, pairs)
+    write_sweep_csv(cfg.out_path, results, cfg.czz_pairs)
     rows = sum(len(result.temperatures) for _, result in results)
     print(f"wrote {rows} oracle rows to {cfg.out_path}")
     return 0
@@ -571,6 +577,9 @@ def _cmd_tc(args):
         sizes, peaks = [], []
         for length in sorted(by_length):
             ts, vals = by_length[length]
+            if ts.size < 3:  # the fit through the extremum needs its two neighbours
+                print(f"L={length}: fewer than 3 temperatures; skipped")
+                continue
             try:
                 peak = find_peak(ts, vals, kind=kind)
             except PeakOnBoundaryError as exc:

@@ -7,9 +7,10 @@ and never mutates its inputs, so they are safe to share between threads.
 
 Addition and operator products are exact direct-sum / site-wise-product
 constructions; compression down to a bond cap is triggered only once a bond
-actually exceeds the cap. The sum or product that ``add`` or ``multiply``
-builds is its own, not an input: ``compress`` consumes it site by site, so a
-capped call holds about one copy of the uncompressed operator, not two.
+actually exceeds the cap. A capped ``add`` or ``multiply`` never builds its
+result whole: it hands ``compress`` the two operands, and ``compress`` builds
+each site of the sum or product when its QR sweep reaches it, so a capped
+call holds the sweep's factors and one site, not the uncompressed operator.
 
 Parity sectors: every shipped operator commutes with P = prod sz, so each
 bond index carries a Z2 parity that the exact zeros of the site tensors
@@ -95,25 +96,66 @@ class Mpo:
         return f"Mpo(L={self.length}, bonds={self.bond_dims})"
 
 
-class _Built(Mpo):
-    """A sum or product that ``add`` or ``multiply`` has just built.
+class _Pending:
+    """A sum or product that ``add`` or ``multiply`` has not built yet.
 
-    Nothing else refers to its site list, so ``compress`` consumes it in
-    place and releases each site once its sweep has used it. The bond
-    extents are recorded up front and stay readable after that. Only
-    ``add`` and ``multiply`` make one, and ``_maybe_compress`` never returns
-    it.
+    It holds the two operands and builds site ``i`` only when asked, with
+    ``_site_sum`` or ``_site_product``, so that ``compress`` can build each
+    site when its QR sweep reaches it and drop it once R is carried in: the
+    uncompressed operator never exists whole. Only ``add`` and ``multiply``
+    make one, and ``_maybe_compress`` never returns it.
     """
 
-    __slots__ = ("_bond_dims",)
+    __slots__ = ("a", "b", "product")
 
-    def __init__(self, tensors):
-        super().__init__(tensors, validate=False)
-        self._bond_dims = [t.shape[-1] for t in self.tensors[:-1]]
+    def __init__(self, a, b, product):
+        self.a, self.b, self.product = a, b, product
+
+    @property
+    def length(self):
+        return self.a.length
 
     @property
     def bond_dims(self):
-        return list(self._bond_dims)
+        if self.product:
+            return [x * y for x, y in zip(self.a.bond_dims, self.b.bond_dims)]
+        return [x + y for x, y in zip(self.a.bond_dims, self.b.bond_dims)]
+
+    max_bond = Mpo.max_bond
+
+    def site(self, i):
+        if self.product:
+            return _site_product(self.a.tensors[i], self.b.tensors[i])
+        return _site_sum(self.a.tensors[i], self.b.tensors[i], i, self.length)
+
+    def bond_parities(self):
+        """``_bond_parities`` of the built operator, read off the operands.
+
+        A product index (x, y) is live iff x and y are, and then has parity
+        p_a(x) xor p_b(y); a sum index is its operand's own index. A dead
+        index is labelled even, as the scan labels it: the all-zero indices
+        of ``scale(-0.0, u)`` (alpha = 0 exactly) must not move to the odd
+        sector, or the factorisations, and every later digit, change.
+        """
+        ga, gb = _bond_parities(self.a.tensors), _bond_parities(self.b.tensors)
+        if ga is None or gb is None:
+            return None
+        if self.product:
+            out = []
+            for (pa, la), (pb, lb) in zip(ga, gb):
+                live = la[:, None] & lb
+                out.append((np.where(live, pa[:, None] ^ pb, 0).reshape(-1), live.reshape(-1)))
+            return out
+        out = [(np.concatenate([pa, pb]), np.concatenate([la, lb]))
+               for (pa, la), (pb, lb) in zip(ga[:-1], gb[:-1])]
+        # the two right boundaries are one index: live in both with opposite parities is ungraded
+        (pa, la), (pb, lb) = ga[-1], gb[-1]
+        if np.any(la & lb & (pa != pb)):
+            return None
+        return out + [(np.where(la, pa, pb), la | lb)]
+
+    def build(self):
+        return Mpo([self.site(i) for i in range(self.length)], validate=False)
 
 
 @dataclass(frozen=True)
@@ -199,13 +241,13 @@ def relative_distance(a, b):
 
 
 def _maybe_compress(w, d_max):
-    """Compress the freshly built ``w`` if a bond exceeds ``d_max``; else return it as an Mpo."""
+    """Compress the pending ``w`` if a bond exceeds ``d_max``; else build it."""
     if d_max is not None:
         if d_max < 1:
             raise ValueError("d_max must be >= 1")
         if w.max_bond > d_max:
             return compress(w, d_max)
-    return Mpo(w.tensors, validate=False), _clean_report(w)
+    return w.build(), _clean_report(w)
 
 
 def add(u, v, d_max=None):
@@ -215,9 +257,7 @@ def add(u, v, d_max=None):
     for i, (a, b) in enumerate(zip(u.tensors, v.tensors)):
         if a.shape[1:3] != b.shape[1:3]:
             raise ValueError(f"physical dimension mismatch at site {i}")
-    # no local may hold the sum: compress releases it site by site
-    return _maybe_compress(_Built([_site_sum(a, b, i, u.length) for i, (a, b)
-                                   in enumerate(zip(u.tensors, v.tensors))]), d_max)
+    return _maybe_compress(_Pending(u, v, product=False), d_max)
 
 
 def _site_sum(a, b, i, length):
@@ -245,9 +285,7 @@ def multiply(a, u, d_max=None):
         raise ValueError("length mismatch")
     if any(ta.shape[2] != tu.shape[1] for ta, tu in zip(a.tensors, u.tensors)):
         raise ValueError("physical dimension mismatch")
-    # no local may hold the product: compress releases it site by site
-    return _maybe_compress(_Built([_site_product(ta, tu) for ta, tu
-                                   in zip(a.tensors, u.tensors)]), d_max)
+    return _maybe_compress(_Pending(a, u, product=True), d_max)
 
 
 def _site_product(ta, tu):
@@ -269,12 +307,13 @@ def _col_parity(bond):
 
 
 def _bond_parities(tensors):
-    """Z2 parity of every site's right bond index, or None if the chain is not graded.
+    """(parity, live) of every site's right bond index, or None if the chain is not graded.
 
     The chain is graded when each nonzero entry t[l, o, i, r] has
     p(r) = p(l) xor o xor i, with an even left boundary. An index whose
-    entries are all zero constrains nothing: it is labelled even, and the rows
-    it feeds on the next site are ignored, since they multiply zero.
+    entries are all zero constrains nothing: it is dead (``live`` False) and
+    labelled even, and the rows it feeds on the next site are ignored, since
+    they multiply zero.
     """
     if any(t.shape[1:3] != (2, 2) for t in tensors):
         return None
@@ -291,7 +330,7 @@ def _bond_parities(tensors):
             return None
         bond = odd.astype(np.int8)
         live = even | odd
-        out.append(bond)
+        out.append((bond, live))
     return out
 
 
@@ -353,61 +392,74 @@ def compress(u, d_max):
     sweeps with no per-sector assembly.
 
     Memory: the uncompressed sum or product is the largest object of a
-    Lanczos step (bond w*D or 2D against D). When ``u`` comes straight from a
-    capped ``add`` or ``multiply``, nothing else refers to its sites, so both
-    sweeps work in its site list in place: a site is released once its QR
-    has run (it lives on as Q blocks and as the R carried into the next
-    site), and a site's Q blocks once U S has been multiplied into them. A
-    capped product or sum thus peaks at about one copy of the uncompressed
-    operator plus one site's factors (1.06-1.17x its bytes at L=8 and 12,
-    against 2.1-2.3x when the input, an R-carried copy of every site and
-    every Q block were held at once). Any other ``u`` gets a list of its own
-    and is left as it was, at the cost of that one more copy.
+    Lanczos step (bond w*D or 2D against D). A capped ``add`` or ``multiply``
+    passes its operands instead (``_Pending``): the QR sweep builds each site
+    when R is to be carried into it and drops it right after, and the sector
+    labels come from the operands' own (``_Pending.bond_parities``). On the split
+    path a capped call then peaks at about its Q blocks (half the operator,
+    since the sites are block diagonal) plus one site: 0.59-0.61x the
+    uncompressed operator's bytes at L=12, cap 60, against 1.06-1.10x when
+    every site was built before the sweep. The one-sector path stays at
+    about 1.1x, as its Q factors are as large as the sites. A plain ``u`` is
+    only read, never mutated.
     """
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
-    # A sum or product built for this call is consumed in place; any other
-    # input keeps its own list, and its tensors are never written to.
-    ts = u.tensors if isinstance(u, _Built) else list(u.tensors)
-    if len(ts) == 1:
-        return Mpo([ts[0].copy()], validate=False), CompressionReport(np.zeros(0))
-    graded = _bond_parities(ts) if d_max >= _SECTOR_MIN_D else None
-    q_blocks, bonds = _qr_sweep(ts, graded)
+    pending = isinstance(u, _Pending)
+    # a plain input's sites are only read: it is never mutated
+    site = u.site if pending else u.tensors.__getitem__
+    if u.length == 1:
+        return Mpo([site(0).copy()], validate=False), CompressionReport(np.zeros(0))
+    graded = None
+    if d_max >= _SECTOR_MIN_D:
+        grading = u.bond_parities() if pending else _bond_parities(u.tensors)
+        graded = None if grading is None else [p for p, _ in grading]
+    ts, q_blocks, bonds = _qr_sweep(site, u.length, graded)
     discarded = _svd_sweep(ts, graded, q_blocks, bonds, d_max)
     return Mpo(ts, validate=False), CompressionReport(discarded)
 
 
-def _qr_sweep(ts, graded):
-    """Left-to-right QR sweep of ``compress``, in place on the site list ``ts``.
+def _qr_sweep(site, length, graded):
+    """Left-to-right QR sweep of ``compress`` over the sites that ``site(i)`` returns.
 
-    Ungraded, each site becomes its Q factor. Graded, a site's Q blocks are
-    returned instead and the site itself is released: the SVD sweep rebuilds
-    it from them. Also returns the parity of the bond left of each site.
+    Each site is asked for once, when R is carried into it, and is dropped
+    after that. Returns the site list for the SVD sweep: ungraded, each site
+    is its Q factor; graded, a site's Q blocks are returned instead and its
+    entry is None, as the SVD sweep rebuilds it from them. The last site
+    carries the final R. Also returns the parity of the bond left of each site.
     """
-    length = len(ts)
+    ts = [None] * length
     bonds = [np.zeros(1, dtype=np.int8)]
     q_blocks = [None] * length
+    cur = site(0)
     for i in range(length - 1):
-        dl, po, pi, dr = ts[i].shape
-        mat = ts[i].reshape(dl * po * pi, dr)
+        dl, po, pi, dr = cur.shape
+        mat = cur.reshape(dl * po * pi, dr)
         blocks = _WHOLE if graded is None else _blocks(_row_parity(bonds[i]), graded[i])
         factors = [np.linalg.qr(mat[rows][:, cols]) for _, rows, cols in blocks]
-        del mat
+        del mat, cur
         if graded is None:
             (q, r), = factors
             ts[i] = q.reshape(dl, po, pi, q.shape[1])
-            ts[i + 1] = np.tensordot(r, ts[i + 1], axes=(1, 0))
+            cur = np.tensordot(r, site(i + 1), axes=(1, 0))
             continue
         # Q stays in its blocks until the SVD sweep multiplies U S into them.
         q_blocks[i] = ((dl, po, pi), [(rows, q) for (_, rows, _), (q, _) in zip(blocks, factors)])
-        ts[i] = None
-        nxt = ts[i + 1].reshape(dr, -1)
-        ts[i + 1] = np.concatenate([r @ nxt[cols] for (_, _, cols), (_, r) in zip(blocks, factors)]
-                                   ).reshape(-1, *ts[i + 1].shape[1:])
-        del nxt
-        bonds.append(np.repeat(np.int8([p for p, _, _ in blocks]),
-                               [r.shape[0] for _, r in factors]))
-    return q_blocks, bonds
+        nxt = site(i + 1)
+        flat = nxt.reshape(dr, -1)
+        rs = [r for _, r in factors]
+        # every sector's carry goes straight into one array: no per-sector copies
+        cur = np.empty((sum(r.shape[0] for r in rs), flat.shape[1]),
+                       dtype=np.result_type(flat, *rs))
+        off = 0
+        for (_, _, cols), r in zip(blocks, rs):
+            np.matmul(r, flat[cols], out=cur[off:off + r.shape[0]])
+            off += r.shape[0]
+        cur = cur.reshape(-1, *nxt.shape[1:])
+        del nxt, flat, factors
+        bonds.append(np.repeat(np.int8([p for p, _, _ in blocks]), [r.shape[0] for r in rs]))
+    ts[-1] = cur
+    return ts, q_blocks, bonds
 
 
 def _svd_sweep(ts, graded, q_blocks, bonds, d_max):

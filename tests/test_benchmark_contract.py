@@ -55,15 +55,21 @@ def test_every_workload_builds_valid_points(tmp_path, seed, small):
 
 
 def test_capped_products_and_sums_are_traced_compressions():
-    # lanczos' compressions all happen inside capped multiply and add calls
+    # lanczos' compressions all happen inside capped multiply and add calls,
+    # whose input compress builds one site at a time and never holds whole
     length, bond = 12, 60
     rng = np.random.default_rng(0)
     a = mpotrace.lmg_mpo(length, 0.2)
     u = random_graded_mpo(rng, length, bond, complex_entries=False)
     v = random_graded_mpo(rng, length, bond, complex_entries=False)
-    with _load("tracing").Tracer(mpotrace) as tracer:
-        mpotrace.mpo.multiply(a, u, bond)
-        mpotrace.mpo.add(u, v, bond)
-    assert tracer.stats["mpo.compress.calls"] == 2
-    # the hook reads the input's bonds after compress has consumed it
-    assert tracer.stats["mpo.compress.bond_in_max"] == 3 * bond
+    mpo = mpotrace.mpo
+    for call, args, bond_in in ((mpo.multiply, (a, u), 3 * bond), (mpo.add, (u, v), 2 * bond)):
+        with _load("tracing").Tracer(mpotrace) as tracer:
+            call(*args, bond)
+        assert tracer.stats["mpo.compress.calls"] == 1
+        # the hook reads the input's bonds after compress has run
+        assert tracer.stats["mpo.compress.bond_in_max"] == bond_in
+        # discarded_rel's base is the weight of the operator that was never built
+        exact, _ = call(*args)
+        assert tracer.stats["mpo.compress.weight_in"] == \
+            pytest.approx(mpotrace.frobenius_norm(exact) ** 2, rel=1e-10)

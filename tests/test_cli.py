@@ -348,9 +348,14 @@ _LONG_SPIN_FLIP = ["--L", "12", "--J", "1", "--czz-symmetry", "spin-flip", "--km
     ["--model", "lmg", "--h", "0.2", "--J", "1"],
     ["--L", "4,4,6"],  # the L=4 block would be written twice
     ["--model", "lmg", "--h", "0.5,0.5"],
+    ["--czz", "1:2,1:2,2:1"],  # the same column three times
+    ["--czz", "1:2,2:1"],  # C_zz(1, 2) = C_zz(2, 1)
+    ["--outputs", "s"],  # the pair would be dropped
+    ["--outputs", "s", "--czz", "", "--czz-symmetry", "spin-flip"],  # likewise the mode
 ], ids=["czz-same-site", "czz-out-of-range", "J-nan", "g-inf", "czz-spin-flip-broken",
         "czz-spin-flip-broken-L12", "reorthogonalize-flag", "breakdown-tol-flag",
-        "ising-with-h", "lmg-with-g", "lmg-with-J", "L-repeated", "h-repeated"])
+        "ising-with-h", "lmg-with-g", "lmg-with-J", "L-repeated", "h-repeated",
+        "czz-repeated", "czz-reversed", "czz-without-Czz", "spin-flip-without-Czz"])
 def test_main_bad_sweep_input_is_config_error(tmp_path, capsys, flags):
     code = cli.main(["sweep", "--model", "ising", "--L", "4", "--outputs", "s,Czz",
                      "--czz", "1:2", *flags, "--out", str(tmp_path / "x.csv")])
@@ -498,6 +503,17 @@ def test_tc_subcommand(tmp_path, capsys):
     line = [l for l in out.splitlines() if l.startswith("extrapolated")][0]
     value = float(line.split("=")[1].split("+-")[0])
     assert value == pytest.approx(t_c, abs=2e-3)
+
+
+def test_tc_subcommand_skips_a_series_of_fewer_than_3_temperatures(tmp_path, capsys):
+    path = tmp_path / "one.csv"
+    path.write_text("model,L,param,T,logZ,energy_density,s,c,F_T,D_T\n"
+                    "ising,4,J=1.0;g=1.0,0.5,0,0,0,0.3,1,0\n")
+    code = cli.main(["tc", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "L=4: fewer than 3 temperatures; skipped" in captured.out.splitlines()
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_tc_subcommand_boundary_reported(tmp_path, capsys):

@@ -22,7 +22,7 @@ from mpotrace import (
     trace,
     zz_decomposition,
 )
-from mpotrace import LanczosConfig, identity_block, mpo, run_lanczos, tensor
+from mpotrace import LanczosConfig, identity_block, mpo, run_lanczos, tensor, zz_blocks
 
 
 def test_identity_dense():
@@ -432,7 +432,79 @@ def test_every_compression_of_an_ising_run_splits(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# memory: compress consumes the sums and products that add and multiply build
+# sector labels of a pending sum or product, read off its operands
+
+def _pending_labels(monkeypatch, calls):
+    """(labels, scanned labels of the built operator) of every capped call in ``calls()``."""
+    seen = []
+    compress_ = mpo.compress
+
+    def checked(u, d_max):
+        if isinstance(u, mpo._Pending):  # not the Hermiticity check's plain difference
+            seen.append((u.bond_parities(), mpo._bond_parities(u.build().tensors)))
+        return compress_(u, d_max)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(mpo, "compress", checked)
+        calls()
+    return seen
+
+
+def _random_capped_calls():
+    rng = np.random.default_rng(61)
+    for length, bond, complex_entries in ((8, 40, False), (6, 33, True)):
+        a = lmg_mpo(length, 0.4)
+        u = random_graded_mpo(rng, length, bond, complex_entries=complex_entries)
+        v = random_graded_mpo(rng, length, bond, complex_entries=complex_entries)
+        multiply(a, u, bond)
+        multiply(u, v, bond)
+        add(u, v, bond)
+
+
+_ISING = ising_mpo(8, 1.0, 1.0)
+_LABELLED_CALLS = {
+    # alpha = 0 exactly in its first steps: the sums carry all-zero indices
+    "ising-identity": lambda: run_lanczos(_ISING, identity_block(8), LanczosConfig(10, 32)),
+    "ising-projector": lambda: run_lanczos(_ISING, zz_blocks(_ISING, 3, 6)[0],
+                                           LanczosConfig(10, 32)),
+    "lmg-identity": lambda: run_lanczos(lmg_mpo(8, 0.3), identity_block(8),
+                                        LanczosConfig(10, 32)),
+    "random-graded": _random_capped_calls,
+}
+
+
+@pytest.mark.parametrize("name", list(_LABELLED_CALLS))
+def test_pending_labels_are_the_scan_of_the_built_operator(monkeypatch, name):
+    seen = _pending_labels(monkeypatch, _LABELLED_CALLS[name])
+    assert seen
+    dead = 0
+    for labels, want in seen:
+        assert want is not None and len(labels) == len(want)
+        for (parity, live), (want_parity, want_live) in zip(labels, want):
+            assert np.array_equal(parity, want_parity)
+            assert np.array_equal(live, want_live)
+            dead += int(np.count_nonzero(~live))
+    if name == "ising-identity":
+        assert dead  # the case that needs the live mask occurs
+
+
+def test_pending_labels_of_an_ungraded_operand_are_none(monkeypatch):
+    rng = np.random.default_rng(62)
+    graded = random_graded_mpo(rng, 6, 12)
+    ungraded = random_mpo(rng, 6, 12)
+
+    def calls():
+        for a, b in ((ungraded, graded), (graded, ungraded)):
+            multiply(a, b, 32)
+            add(a, b, 20)
+
+    seen = _pending_labels(monkeypatch, calls)
+    assert len(seen) == 4
+    assert all(labels is None and want is None for labels, want in seen)
+
+
+# ---------------------------------------------------------------------------
+# memory: compress builds a capped sum or product one site at a time
 
 def _capped_call(length, bond, name, complex_entries=False):
     """A product or sum of bond-``bond`` chains, as a function of ``d_max``.
@@ -469,8 +541,11 @@ def test_capped_call_peaks_near_its_uncompressed_result(length, bond, name):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # holding the uncompressed operator, a working copy and every Q block read 2.1-2.3x
-    assert peak <= 1.5 * uncompressed, peak / uncompressed
+    # The split path holds its Q blocks (about half the operator) and one
+    # site; building every site before the sweep read 1.06-1.10x. The
+    # one-sector path's Q factors are as large as the sites.
+    bound = 0.8 if bond >= mpo._SECTOR_MIN_D else 1.5
+    assert peak <= bound * uncompressed, peak / uncompressed
 
 
 @pytest.mark.parametrize("d_max", [16, 40])  # one-sector and split path
