@@ -45,7 +45,6 @@ from .thermal import (
     entropy_density,
     expectation,
     partition_traces,
-    specific_heat,
     sweep_observables,
     thermal_fidelity,
     trace_distance_thermal,

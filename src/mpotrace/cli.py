@@ -214,7 +214,7 @@ _SETTINGS = (
     ("output.czz", "czz", "czz_pairs", lambda t: tuple(map(_parse_pair, _items(t))),
      "i:j pair list", "comma list of site pairs i:j"),
     ("output.czz_symmetry", "czz_symmetry", "czz_symmetry", str, "text",
-     "correlator symmetry: none or spin-flip"),
+     "correlator symmetry: none or spin-flip (needs g=0 or h=0, where every C_zz is 0)"),
     ("output.path", "out", "out_path", str, "text", "CSV output path"),
     ("output.cache", "cache", "cache_dir", str, "text", "directory for cached Lanczos runs"),
     ("output.workers", "workers", "workers", int, "integer", "parallel Lanczos-run workers"),
@@ -370,15 +370,14 @@ def run_sweep(cfg):
             stats.projector_runs += 1
     runs = dict(zip(jobs, (run for run, _ in done)))
 
-    temps = cfg.temperatures()
-    grid = BetaGrid.from_temperatures(temps, cfg.effective_delta_t())
-    betas = 1.0 / temps
+    grid = BetaGrid.from_temperatures(cfg.temperatures(), cfg.effective_delta_t())
     results = []
     for spec, z_key, czz in points:
         z_run = runs[z_key]
         result = thermal.sweep_observables(z_run, grid, spec.length)
         for pair, keys in czz.items():
-            result.czz[pair] = thermal.zz_from_runs([runs[k] for k in keys], z_run, betas)
+            result.czz[pair] = thermal.zz_from_runs(
+                [runs[k] for k in keys], z_run, grid.betas)
         result.check_bounds()
         results.append((spec, result))
     results.sort(key=lambda item: (item[0].length, item[0].param_text()))
@@ -512,8 +511,7 @@ def _cmd_exact(args):
     if max(cfg.lengths) > args.guard:
         raise ConfigError(f"model.L: L={max(cfg.lengths)} exceeds the dense-oracle "
                           f"guard {args.guard} (see --guard)")
-    temps = cfg.temperatures()
-    grid = BetaGrid.from_temperatures(temps, cfg.effective_delta_t())
+    grid = BetaGrid.from_temperatures(cfg.temperatures(), cfg.effective_delta_t())
     results = []
     for spec in cfg.model_specs():
         spectrum = oracle.exact_spectrum(spec.build(), guard=args.guard)
@@ -672,7 +670,11 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        return args.handler(args)
+        # an overflow or a NaN (from couplings near the float range, say) is a
+        # numerical failure where it happens, not a warning and a later error;
+        # forked pool workers inherit the setting
+        with np.errstate(over="raise", invalid="raise"):
+            return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

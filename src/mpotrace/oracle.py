@@ -4,7 +4,7 @@ Ground truth for tests at small chain length: all thermal quantities are
 direct sums over the full spectrum, with the same minimum-shift log-domain
 conventions as the quadrature path but none of its machinery. The heat
 capacity is the centred variance beta^2/L sum_n p_n (E_n - <H>)^2, as in
-``thermal.sweep_observables``, not the cancelling G/Z - (F/Z)^2.
+``thermal.sweep_observables``.
 """
 
 from __future__ import annotations
@@ -64,16 +64,15 @@ def exact_observables(spectrum, grid, czz_sites=()):
     """
     evals = spectrum.eigenvalues
     length = spectrum.length
-    temps = grid.temperatures
-    betas = 1.0 / temps
-    n_t = temps.size
+    betas = grid.betas
+    n_t = betas.size
     log_z = np.empty(n_t)
     energy = np.empty(n_t)
     s = np.empty(n_t)
     c = np.empty(n_t)
     fid = np.empty(n_t)
     dist = np.empty(n_t)
-    for idx, (t, beta) in enumerate(zip(temps, betas)):
+    for idx, (beta, b1) in enumerate(zip(betas, grid.pair_betas)):
         lz = _log_z(evals, beta)
         p = _boltzmann(evals, beta)
         f_over_z = float(np.dot(p, evals))
@@ -81,7 +80,6 @@ def exact_observables(spectrum, grid, czz_sites=()):
         energy[idx] = f_over_z / length
         s[idx] = (beta * f_over_z + lz) / length
         c[idx] = beta ** 2 / length * float(np.dot(p, (evals - f_over_z) ** 2))
-        b1 = 1.0 / (t + grid.delta_t)
         lz1 = _log_z(evals, b1)
         lz_mid = _log_z(evals, 0.5 * (beta + b1))
         fid[idx] = float(np.exp(lz_mid - 0.5 * (lz + lz1)))
@@ -102,7 +100,7 @@ def exact_observables(spectrum, grid, czz_sites=()):
                 vals[idx] = float(p @ d_zz - (p @ d_i) * (p @ d_j))
             czz[(i, j)] = vals
     return ThermalSweepResult(
-        temperatures=temps.copy(),
+        temperatures=grid.temperatures,
         log_z=log_z,
         energy_density=energy,
         entropy=s,

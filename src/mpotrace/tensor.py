@@ -12,6 +12,7 @@ at cold start.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,8 @@ def truncated_svd(m, max_rank):
     Numerically zero singular values (below RANK_TOL * sigma_max) are dropped
     as well; at least one triplet is always kept so downstream bond extents
     stay >= 1. The returned ``u`` and ``vh`` own their memory, so an MPO
-    site built from one does not keep the discarded triplets alive.
+    site built from one does not keep the discarded triplets alive. A matrix
+    holding nan or inf raises ArithmeticError.
     """
     if max_rank < 1:
         raise ValueError("max_rank must be >= 1")
@@ -47,10 +49,16 @@ def truncated_svd(m, max_rank):
     try:
         u, s, vh = np.linalg.svd(m, full_matrices=False)
     except np.linalg.LinAlgError:
+        if not np.all(np.isfinite(m)):  # gesdd fails on nan, and gesvd would fail too
+            raise ArithmeticError("SVD of a matrix holding nan or inf") from None
         # gesdd occasionally fails to converge; gesvd is slower but sturdier
         import scipy.linalg
 
         u, s, vh = scipy.linalg.svd(m, full_matrices=False, lapack_driver="gesvd")
+    # gesdd turns inf into nan without failing, s[0] included; s is descending,
+    # so an overflow shows in s[0] too
+    if not math.isfinite(s[0]):
+        raise ArithmeticError("SVD gave non-finite singular values")
     k = kept_rank(s, max_rank)
     discarded = float(np.sum(s[k:] ** 2))
     if k < s.size:  # a kept slice would pin the whole factor for as long as it lives

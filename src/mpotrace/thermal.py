@@ -1,14 +1,14 @@
 """Thermal-equilibrium observables as quadrature functionals of H.
 
 Every quantity is a combination of weighted sums over one reusable
-quadrature rule: partition function, energy and second-moment ratios,
-entropy density, specific heat, thermal fidelity, trace distance, trace
-norm and two-site sz correlators. All exponentials are taken relative to
-the minimum node, so no intermediate can overflow no matter how large
-beta * ||H|| gets. The sweep's heat capacity is the centred variance
-beta^2/L sum_j p_j (node_j - <H>)^2 over the normalized Gibbs weights, as
-in ``oracle.exact_observables``, so it is non-negative and keeps its
-relative accuracy when c is many orders below (F/Z)^2.
+quadrature rule: partition function, energy and its variance, entropy
+density, specific heat, thermal fidelity, trace distance, trace norm and
+two-site sz correlators. All exponentials are taken relative to the minimum
+node, so no intermediate can overflow no matter how large beta * ||H|| gets.
+The heat capacity is beta^2/L times the centred variance
+sum_j p_j (node_j - <H>)^2 over the normalized Gibbs weights, as in
+``oracle.exact_observables``, so it is non-negative and keeps its relative
+accuracy when c is many orders below (F/Z)^2.
 """
 
 from __future__ import annotations
@@ -25,41 +25,47 @@ LN2 = float(np.log(2.0))
 
 @dataclass(frozen=True)
 class BetaGrid:
-    """Strictly increasing positive inverse temperatures plus the temperature
-    offset used for fidelity / trace-distance pairs."""
+    """Strictly increasing positive temperatures, kept exactly as given, and
+    the offset that pairs each T with T + delta_t for F_T and D_T.
 
-    betas: np.ndarray
-    delta_t: float
+    The grid holds its own read-only copy of the temperatures; ``delta_t``
+    defaults to the first step, or to T itself for a single temperature.
+    """
+
+    temperatures: np.ndarray
+    delta_t: float = None
 
     def __post_init__(self):
-        b = np.asarray(self.betas, dtype=float)
-        object.__setattr__(self, "betas", b)
-        if b.ndim != 1 or b.size == 0:
-            raise ValueError("betas must be a non-empty 1-d array")
-        if not np.all(np.isfinite(b)) or np.any(b <= 0.0):
-            raise ValueError("betas must be finite and positive")
-        if np.any(np.diff(b) <= 0.0):
-            raise ValueError("betas must be strictly increasing")
-        if not self.delta_t > 0.0:
-            raise ValueError("delta_t must be positive")
-
-    @property
-    def temperatures(self):
-        """Temperatures in ascending order (reverse of the beta order)."""
-        return (1.0 / self.betas)[::-1]
-
-    @classmethod
-    def from_temperatures(cls, temps, delta_t=None):
-        t = np.asarray(temps, dtype=float)
+        t = np.array(self.temperatures, dtype=float)
         if t.ndim != 1 or t.size == 0:
             raise ValueError("temperatures must be a non-empty 1-d array")
-        if np.any(t <= 0.0) or not np.all(np.isfinite(t)):
+        if not np.all(np.isfinite(t)) or np.any(t <= 0.0):
             raise ValueError("temperatures must be finite and positive")
         if np.any(np.diff(t) <= 0.0):
             raise ValueError("temperatures must be strictly increasing")
+        delta_t = self.delta_t
         if delta_t is None:
-            delta_t = float(t[1] - t[0]) if t.size > 1 else float(t[0])
-        return cls((1.0 / t)[::-1].copy(), float(delta_t))
+            delta_t = t[1] - t[0] if t.size > 1 else t[0]
+        if not delta_t > 0.0:
+            raise ValueError("delta_t must be positive")
+        t.flags.writeable = False
+        object.__setattr__(self, "temperatures", t)
+        object.__setattr__(self, "delta_t", float(delta_t))
+
+    @property
+    def betas(self):
+        """1/T, in temperature order."""
+        return 1.0 / self.temperatures
+
+    @property
+    def pair_betas(self):
+        """1/(T + delta_t), the partner of each beta in F_T and D_T."""
+        return 1.0 / (self.temperatures + self.delta_t)
+
+    @classmethod
+    def from_temperatures(cls, temps, delta_t=None):
+        """The grid of the ascending ``temps``, paired at offset ``delta_t``."""
+        return cls(temps, delta_t)
 
 
 def _require_identity_start(run):
@@ -78,7 +84,7 @@ def _shifted_sums(nodes, weights, beta, lam_ref):
     return tot, m
 
 
-def _gibbs_moments(run, betas):
+def partition_traces(run, betas):
     """(log Z, F/Z, centred variance of H) per beta from one identity-start run.
 
     log Z = -beta*lam_ref + log sum_j w_j e^{-beta (node_j - lam_ref)} with
@@ -106,31 +112,10 @@ def _gibbs_moments(run, betas):
     return log_z, mean, var
 
 
-def partition_traces(run, betas):
-    """(log Z, F/Z, G/Z) per beta from one identity-start run.
-
-    The ratios are weighted means over the normalized shifted distribution
-    of ``_gibbs_moments``, so the shift by the minimum node cancels exactly.
-    """
-    log_z, f_over_z, var = _gibbs_moments(run, betas)
-    return log_z, f_over_z, var + f_over_z ** 2
-
-
 def entropy_density(log_z, f_over_z, beta, length):
     """Entropy per site s = (beta F/Z + log Z) / L."""
     return (np.asarray(beta, float) * np.asarray(f_over_z, float)
             + np.asarray(log_z, float)) / length
-
-
-def specific_heat(f_over_z, g_over_z, beta, length):
-    """Heat capacity per site c = beta^2/L (G/Z - (F/Z)^2).
-
-    The difference cancels when c is tiny (low T, gapped spectrum);
-    ``sweep_observables`` takes c from the centred variance instead.
-    """
-    f = np.asarray(f_over_z, float)
-    g = np.asarray(g_over_z, float)
-    return np.asarray(beta, float) ** 2 / length * (g - f ** 2)
 
 
 def thermal_fidelity(run, beta0, beta1):
@@ -232,6 +217,10 @@ def zz_blocks(h, i, j, symmetry="none"):
     makes <sz_i> vanish and halves the runs: one pair, P0P0 and P1P0, with
     <sz_i sz_j> = 2(<P0P0> - <P1P0>). Otherwise three pairs: the projector
     decomposition of sz_i sz_j, then of sz_i and of sz_j.
+
+    For the shipped families X commutes with H only at g = 0 (Ising) or
+    h = 0 (LMG). There H is diagonal in the sx basis, so C_zz vanishes
+    identically: the spin-flip mode can only return zeros, up to roundoff.
     """
     length = h.length
     if i == j:
@@ -303,17 +292,16 @@ class ThermalSweepResult:
 
 def sweep_observables(run, grid, length):
     """All base observables on a temperature grid from one identity-start run."""
-    temps = grid.temperatures
-    betas = 1.0 / temps
-    log_z, f_over_z, var = _gibbs_moments(run, betas)
+    betas = grid.betas
+    log_z, f_over_z, var = partition_traces(run, betas)
     s = entropy_density(log_z, f_over_z, betas, length)
     c = betas ** 2 / length * var
-    fid = np.array([thermal_fidelity(run, 1.0 / t, 1.0 / (t + grid.delta_t))
-                    for t in temps])
-    dist = np.array([trace_distance_thermal(run, 1.0 / t, 1.0 / (t + grid.delta_t))
-                     for t in temps])
+    pair_betas = grid.pair_betas
+    fid = np.array([thermal_fidelity(run, b0, b1) for b0, b1 in zip(betas, pair_betas)])
+    dist = np.array([trace_distance_thermal(run, b0, b1)
+                     for b0, b1 in zip(betas, pair_betas)])
     return ThermalSweepResult(
-        temperatures=temps.copy(),
+        temperatures=grid.temperatures,
         log_z=log_z,
         energy_density=f_over_z / length,
         entropy=s,

@@ -24,7 +24,6 @@ from mpotrace import (
     lmg_mpo,
     partition_traces,
     run_lanczos,
-    specific_heat,
     sweep_observables,
     thermal_fidelity,
     to_dense,
@@ -113,10 +112,10 @@ def test_criterion_2_gauss_exactness():
 def test_criterion_3_closed_form_anchors():
     h = Mpo([np.array(SZ).reshape(1, 2, 2, 1)])
     run = run_lanczos(h, identity_block(1), LanczosConfig(k_max=5, d_max=4))
-    log_z, f_over_z, g_over_z = partition_traces(run, [1.0])
+    log_z, f_over_z, var = partition_traces(run, [1.0])
     assert np.exp(log_z[0]) == pytest.approx(2.0 * np.cosh(1.0), abs=1e-10)
     s = entropy_density(log_z, f_over_z, 1.0, 1)[0]
-    c = specific_heat(f_over_z, g_over_z, 1.0, 1)[0]
+    c = 1.0 ** 2 * var[0] / 1  # c = beta^2 Var H / L
     assert s == pytest.approx(-np.tanh(1.0) + np.log(2.0 * np.cosh(1.0)), abs=1e-10)
     assert s == pytest.approx(0.3653338550872076, abs=1e-9)
     assert c == pytest.approx(1.0 / np.cosh(1.0) ** 2, abs=1e-10)

@@ -142,6 +142,17 @@ def test_run_sweep_matches_oracle_and_schema(tmp_path):
         assert np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1e-12)) <= 1e-6
 
 
+def test_csv_reports_the_requested_temperatures(tmp_path):
+    # 1/(1/T) is not T for every T; the grid must not round-trip through beta
+    cfg = small_config(tmp_path, lengths=(3,), tmin=0.1, tmax=2.0, tstep=0.001,
+                       k_max=8, d_max=8)
+    run_sweep(cfg)
+    rows = Path(cfg.out_path).read_text().splitlines()[1:]
+    want = [format(t, ".17g") for t in cfg.temperatures()]
+    assert len(want) == 1901
+    assert [row.split(",")[3] for row in rows] == want
+
+
 def test_run_sweep_deterministic(tmp_path):
     cfg_a = small_config(tmp_path, out_path=str(tmp_path / "a.csv"))
     cfg_b = small_config(tmp_path, out_path=str(tmp_path / "b.csv"))
@@ -362,6 +373,25 @@ def test_main_bad_sweep_input_is_config_error(tmp_path, capsys, flags):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("flags", [
+    ["--model", "lmg", "--h", "1e308"],  # left alone, a nan would reach the SVD
+    ["--model", "lmg", "--h", "1e160"],  # overflows in an inner product
+    ["--model", "lmg", "--h", "1e150"],  # overflows only in F_T's exponential
+    ["--model", "ising", "--J", "1e308"],
+    ["--model", "ising", "--J", "1e308", "--workers", "2", "--outputs", "s,Czz",
+     "--czz", "1:2"],  # the runs fail in pool workers
+], ids=["lmg-h-1e308", "lmg-h-1e160", "lmg-h-1e150", "ising-J-1e308", "ising-J-1e308-pool"])
+def test_main_coupling_near_the_float_range_is_numerical_failure(tmp_path, capsys, flags):
+    code = cli.main(["sweep", "--L", "4", *flags, "--tmin", "0.1", "--tmax", "0.5",
+                     "--tstep", "0.2", "--kmax", "8", "--dmax", "8",
+                     "--out", str(tmp_path / "x.csv")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("numerical failure:")
+    assert len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_main_spin_flip_symmetric_long_chain(tmp_path):

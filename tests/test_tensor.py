@@ -73,6 +73,14 @@ def test_truncated_svd_gesvd_fallback_matches_scipy(monkeypatch, rank, max_rank)
     assert np.linalg.norm((res.u * res.s) @ res.vh - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_truncated_svd_of_a_non_finite_matrix_is_an_arithmetic_error(bad):
+    m = np.ones((4, 3))
+    m[2, 1] = bad
+    with pytest.raises(ArithmeticError):
+        tensor.truncated_svd(m, 2)
+
+
 def test_symtridiag_eig_1x1():
     lam, vec = tensor.symtridiag_eig([5.0], [])
     assert np.allclose(lam, [5.0])

@@ -17,7 +17,6 @@ from mpotrace import (
     partition_traces,
     projector_block,
     run_lanczos,
-    specific_heat,
     sweep_observables,
     thermal_fidelity,
     to_dense,
@@ -42,28 +41,29 @@ def ising6_run():
 
 
 def test_single_site_partition_function(single_site_run):
-    log_z, f_over_z, g_over_z = partition_traces(single_site_run, [1.0])
+    log_z, f_over_z, var = partition_traces(single_site_run, [1.0])
     assert np.exp(log_z[0]) == pytest.approx(2.0 * np.cosh(1.0), rel=1e-12)
     assert f_over_z[0] == pytest.approx(-np.tanh(1.0), rel=1e-12)
-    assert g_over_z[0] == pytest.approx(1.0, rel=1e-12)
+    # <H^2> = 1 for H = sz, so Var H = 1 - tanh(1)^2
+    assert var[0] == pytest.approx(1.0 / np.cosh(1.0) ** 2, rel=1e-12)
 
 
 def test_single_site_entropy_and_heat(single_site_run):
-    log_z, f_over_z, g_over_z = partition_traces(single_site_run, [1.0])
+    log_z, f_over_z, var = partition_traces(single_site_run, [1.0])
     s = entropy_density(log_z, f_over_z, 1.0, 1)[0]
-    c = specific_heat(f_over_z, g_over_z, 1.0, 1)[0]
+    c = 1.0 ** 2 / 1 * var[0]  # c = beta^2 Var H / L
     # closed forms: s = -tanh(1) + ln(2 cosh 1), c = sech(1)^2
     assert s == pytest.approx(0.36533385508720761, abs=1e-10)
     assert c == pytest.approx(0.41997434161402614, abs=1e-10)
 
 
 def test_infinite_temperature_limits(single_site_run):
-    log_z, f_over_z, _ = partition_traces(single_site_run, [1e-12])
+    log_z, f_over_z, var = partition_traces(single_site_run, [1e-12])
     assert log_z[0] == pytest.approx(np.log(2.0), rel=1e-9)
     assert f_over_z[0] == pytest.approx(0.0, abs=1e-10)  # trace(sz)/2
     s = entropy_density(log_z, f_over_z, 1e-12, 1)[0]
     assert s == pytest.approx(LN2, rel=1e-9)
-    c = specific_heat(f_over_z, np.array([1.0]), 1e-12, 1)[0]
+    c = 1e-12 ** 2 / 1 * var[0]
     assert c == pytest.approx(0.0, abs=1e-12)
 
 
@@ -107,13 +107,13 @@ def test_thermal_quantities_match_oracle(ising6_run):
     evals = np.linalg.eigvalsh(dense_ising(length, 1.0, 1.0))
     for t in (0.1, 0.35, 1.0):
         beta = 1.0 / t
-        log_z, f_over_z, g_over_z = partition_traces(ising6_run, [beta])
+        log_z, f_over_z, var = partition_traces(ising6_run, [beta])
         lz_want = float(np.log(np.sum(np.exp(-beta * (evals - evals[0])))) - beta * evals[0])
         p = np.exp(-beta * (evals - evals[0]))
         p /= p.sum()
         assert log_z[0] == pytest.approx(lz_want, rel=1e-8)
         assert f_over_z[0] == pytest.approx(float(p @ evals), rel=1e-8)
-        assert g_over_z[0] == pytest.approx(float(p @ evals ** 2), rel=1e-8)
+        assert var[0] == pytest.approx(float(p @ (evals - p @ evals) ** 2), rel=1e-8)
         b1 = 1.0 / (t + 0.1)
         dt_want = float(np.sum(np.abs(
             np.exp(-beta * evals) / np.sum(np.exp(-beta * evals))
@@ -260,10 +260,9 @@ def test_heat_capacity_consistent_with_log_z_curvature(ising6_run):
     length = 6
     beta = 1.25
     d_beta = 1e-4
-    log_z, f_over_z, g_over_z = partition_traces(
-        ising6_run, [beta - d_beta, beta, beta + d_beta])
+    log_z, _, var = partition_traces(ising6_run, [beta - d_beta, beta, beta + d_beta])
     curvature = (log_z[0] - 2.0 * log_z[1] + log_z[2]) / d_beta ** 2
-    c_direct = specific_heat(f_over_z[1:2], g_over_z[1:2], beta, length)[0]
+    c_direct = beta ** 2 / length * var[1]
     assert c_direct == pytest.approx(beta ** 2 / length * curvature, rel=1e-4)
 
 
@@ -283,6 +282,29 @@ def test_sweep_observables_columns_consistent(ising6_run):
     # discrete temperature derivative is plain arithmetic on the outputs
     ds = np.diff(result.entropy) / np.diff(result.temperatures)
     assert ds.shape == (3,)
+
+
+def test_sweep_reads_every_beta_from_the_grid(ising6_run):
+    grid = BetaGrid.from_temperatures(np.array([0.1, 0.123, 0.7, 1.9]), delta_t=0.001)
+    result = sweep_observables(ising6_run, grid, 6)
+    assert result.temperatures is grid.temperatures
+    assert np.array_equal(result.log_z, partition_traces(ising6_run, grid.betas)[0])
+    for i, (b0, b1) in enumerate(zip(grid.betas, grid.pair_betas)):
+        assert result.fidelity[i] == thermal_fidelity(ising6_run, b0, b1)
+        assert result.trace_distance[i] == trace_distance_thermal(ising6_run, b0, b1)
+
+
+def test_beta_grid_keeps_the_requested_temperatures():
+    temps = np.arange(1, 2001) * 0.001
+    before = temps.copy()
+    grid = BetaGrid(temps, 0.001)
+    assert np.array_equal(grid.temperatures, before)
+    assert np.array_equal(grid.betas, 1.0 / before)
+    assert np.array_equal(grid.pair_betas, 1.0 / (before + 0.001))
+    with pytest.raises(ValueError, match="read-only"):
+        grid.temperatures[0] = 5.0
+    temps[0] = 5.0  # the caller's array stays writable and the grid keeps its copy
+    assert grid.temperatures[0] == 0.001
 
 
 def test_beta_grid_validation():
