@@ -44,10 +44,9 @@ from .thermal import (
     correlation_zz,
     entropy_density,
     expectation,
+    pair_observables,
     partition_traces,
     sweep_observables,
-    thermal_fidelity,
-    trace_distance_thermal,
     trace_norm,
     zz_blocks,
     zz_from_runs,

@@ -113,6 +113,9 @@ class RunConfig:
         for name, values in (("model.L", self.lengths), ("model.h", self.h_fields)):
             if len(set(values)) != len(values):
                 raise ConfigError(f"{name} lists a value twice: {list(values)}")
+        grid = (self.tmin, self.tmax, self.tstep, self.effective_delta_t())
+        if not all(math.isfinite(x) for x in grid):
+            raise ConfigError("grid tmin, tmax, tstep and delta_t must be finite")
         if not (self.tmin > 0 and self.tmax >= self.tmin and self.tstep > 0):
             raise ConfigError("grid requires 0 < tmin <= tmax and tstep > 0")
         if self.delta_t is not None and not self.delta_t > 0:

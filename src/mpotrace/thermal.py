@@ -3,8 +3,10 @@
 Every quantity is a combination of weighted sums over one reusable
 quadrature rule: partition function, energy and its variance, entropy
 density, specific heat, thermal fidelity, trace distance, trace norm and
-two-site sz correlators. All exponentials are taken relative to the minimum
-node, so no intermediate can overflow no matter how large beta * ||H|| gets.
+two-site sz correlators. F_T and D_T of a whole grid come from one
+``partition_traces`` call on the stacked betas. All exponentials are taken
+relative to the minimum node, so no intermediate can overflow no matter how
+large beta * ||H|| gets.
 The heat capacity is beta^2/L times the centred variance
 sum_j p_j (node_j - <H>)^2 over the normalized Gibbs weights, as in
 ``oracle.exact_observables``, so it is non-negative and keeps its relative
@@ -28,12 +30,11 @@ class BetaGrid:
     """Strictly increasing positive temperatures, kept exactly as given, and
     the offset that pairs each T with T + delta_t for F_T and D_T.
 
-    The grid holds its own read-only copy of the temperatures; ``delta_t``
-    defaults to the first step, or to T itself for a single temperature.
+    The grid holds its own read-only copy of the temperatures.
     """
 
     temperatures: np.ndarray
-    delta_t: float = None
+    delta_t: float
 
     def __post_init__(self):
         t = np.array(self.temperatures, dtype=float)
@@ -43,14 +44,11 @@ class BetaGrid:
             raise ValueError("temperatures must be finite and positive")
         if np.any(np.diff(t) <= 0.0):
             raise ValueError("temperatures must be strictly increasing")
-        delta_t = self.delta_t
-        if delta_t is None:
-            delta_t = t[1] - t[0] if t.size > 1 else t[0]
-        if not delta_t > 0.0:
-            raise ValueError("delta_t must be positive")
+        if not (np.isfinite(self.delta_t) and self.delta_t > 0.0):
+            raise ValueError("delta_t must be finite and positive")
         t.flags.writeable = False
         object.__setattr__(self, "temperatures", t)
-        object.__setattr__(self, "delta_t", float(delta_t))
+        object.__setattr__(self, "delta_t", float(self.delta_t))
 
     @property
     def betas(self):
@@ -63,7 +61,7 @@ class BetaGrid:
         return 1.0 / (self.temperatures + self.delta_t)
 
     @classmethod
-    def from_temperatures(cls, temps, delta_t=None):
+    def from_temperatures(cls, temps, delta_t):
         """The grid of the ascending ``temps``, paired at offset ``delta_t``."""
         return cls(temps, delta_t)
 
@@ -118,34 +116,35 @@ def entropy_density(log_z, f_over_z, beta, length):
             + np.asarray(log_z, float)) / length
 
 
-def thermal_fidelity(run, beta0, beta1):
-    """Z((b0+b1)/2) / sqrt(Z(b0) Z(b1)), computed in the log domain.
+def pair_observables(run, betas, pair_betas):
+    """(F_T, D_T) of each pair (beta, beta') of two equal-length beta arrays.
 
-    Cauchy-Schwarz on the quadrature measure keeps the value <= 1; equal
-    arguments give exactly 1.
+    F_T = Z((b+b')/2) / sqrt(Z(b) Z(b')), taken in the log domain;
+    Cauchy-Schwarz on the quadrature measure keeps it <= 1. D_T is the
+    Schatten-1 distance between the two Gibbs states of the same H, with each
+    term |e^a - e^b| evaluated as e^{max(a,b)} (1 - e^{-|a-b|}) so that it
+    never overflows. Equal arguments give exactly 1 and exactly 0. One
+    ``partition_traces`` call on the stacked grid (b, b', midpoint) serves
+    both, so any finite beta >= 0 is accepted: b' = 0 is the
+    infinite-temperature state.
     """
-    if beta0 <= 0.0 or beta1 <= 0.0:
-        raise ValueError("inverse temperatures must be positive")
-    log_z, _, _ = partition_traces(run, [beta0, beta1, 0.5 * (beta0 + beta1)])
-    return float(np.exp(log_z[2] - 0.5 * (log_z[0] + log_z[1])))
-
-
-def trace_distance_thermal(run, beta0, beta1):
-    """Schatten-1 distance between the two Gibbs states of the same H.
-
-    Each term |e^a - e^b| is evaluated as e^{max(a,b)} (1 - e^{-|a-b|}), so
-    the result is exact zero for equal arguments and never overflows.
-    """
-    if beta0 <= 0.0 or beta1 <= 0.0:
-        raise ValueError("inverse temperatures must be positive")
-    log_z, _, _ = partition_traces(run, [beta0, beta1])
+    b0 = np.atleast_1d(np.asarray(betas, dtype=float))
+    b1 = np.atleast_1d(np.asarray(pair_betas, dtype=float))
+    if b0.shape != b1.shape:
+        raise ValueError("betas and pair_betas must have equal length")
+    log_z, _, _ = partition_traces(run, np.concatenate([b0, b1, 0.5 * (b0 + b1)]))
+    lz0, lz1, lz_mid = np.split(log_z, 3)
+    fidelity = np.exp(lz_mid - 0.5 * (lz0 + lz1))
     nodes = run.quadrature.nodes
     weights = run.quadrature.weights
-    a = -beta0 * nodes - log_z[0]
-    b = -beta1 * nodes - log_z[1]
-    hi = np.maximum(a, b)
-    diff = -np.expm1(-np.abs(a - b))
-    return float(np.sum(weights * np.exp(hi) * diff))
+    distance = np.empty(b0.size)
+    for idx in range(b0.size):
+        a = -b0[idx] * nodes - lz0[idx]
+        b = -b1[idx] * nodes - lz1[idx]
+        hi = np.maximum(a, b)
+        diff = -np.expm1(-np.abs(a - b))
+        distance[idx] = np.sum(weights * np.exp(hi) * diff)
+    return fidelity, distance
 
 
 def trace_norm(run):
@@ -296,10 +295,7 @@ def sweep_observables(run, grid, length):
     log_z, f_over_z, var = partition_traces(run, betas)
     s = entropy_density(log_z, f_over_z, betas, length)
     c = betas ** 2 / length * var
-    pair_betas = grid.pair_betas
-    fid = np.array([thermal_fidelity(run, b0, b1) for b0, b1 in zip(betas, pair_betas)])
-    dist = np.array([trace_distance_thermal(run, b0, b1)
-                     for b0, b1 in zip(betas, pair_betas)])
+    fid, dist = pair_observables(run, betas, grid.pair_betas)
     return ThermalSweepResult(
         temperatures=grid.temperatures,
         log_z=log_z,

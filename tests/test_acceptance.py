@@ -22,12 +22,11 @@ from mpotrace import (
     identity_block,
     ising_mpo,
     lmg_mpo,
+    pair_observables,
     partition_traces,
     run_lanczos,
     sweep_observables,
-    thermal_fidelity,
     to_dense,
-    trace_distance_thermal,
 )
 from mpotrace import evaluate
 from mpotrace.cli import RunConfig, exact_tc, extrapolate_tc, find_peak, run_sweep
@@ -280,8 +279,9 @@ def test_criterion_7_bounds_suite(ising8_case, lmg8_cases):
     run = run_lanczos(h, identity_block(length),
                       LanczosConfig(k_max=30, d_max=exact_bond_cap(length)))
     for beta in (0.5, 1.0, 5.0):
-        assert thermal_fidelity(run, beta, beta) == 1.0
-        assert trace_distance_thermal(run, beta, beta) == 0.0
+        fid, dist = pair_observables(run, [beta], [beta])
+        assert fid[0] == 1.0
+        assert dist[0] == 0.0
     print(f"\nACCEPTANCE 7 (bounds over {len(BOUNDS_REGISTRY)} sweeps, "
           "F_T(b,b)=1, D_T(b,b)=0): PASS")
 

@@ -363,10 +363,14 @@ _LONG_SPIN_FLIP = ["--L", "12", "--J", "1", "--czz-symmetry", "spin-flip", "--km
     ["--czz", "1:2,2:1"],  # C_zz(1, 2) = C_zz(2, 1)
     ["--outputs", "s"],  # the pair would be dropped
     ["--outputs", "s", "--czz", "", "--czz-symmetry", "spin-flip"],  # likewise the mode
+    ["--tstep", "inf"],  # T = tmin + 0 * inf is nan
+    ["--delta-t", "inf"],  # the partner beta would be 0
+    ["--tmax", "inf"],  # an infinite number of temperatures
 ], ids=["czz-same-site", "czz-out-of-range", "J-nan", "g-inf", "czz-spin-flip-broken",
         "czz-spin-flip-broken-L12", "reorthogonalize-flag", "breakdown-tol-flag",
         "ising-with-h", "lmg-with-g", "lmg-with-J", "L-repeated", "h-repeated",
-        "czz-repeated", "czz-reversed", "czz-without-Czz", "spin-flip-without-Czz"])
+        "czz-repeated", "czz-reversed", "czz-without-Czz", "spin-flip-without-Czz",
+        "tstep-inf", "delta-t-inf", "tmax-inf"])
 def test_main_bad_sweep_input_is_config_error(tmp_path, capsys, flags):
     code = cli.main(["sweep", "--model", "ising", "--L", "4", "--outputs", "s,Czz",
                      "--czz", "1:2", *flags, "--out", str(tmp_path / "x.csv")])

@@ -70,7 +70,7 @@ def test_correlators_match_direct_sums():
     length = 4
     h = lmg_mpo(length, 0.2)
     spec = exact_spectrum(h)
-    grid = BetaGrid.from_temperatures(np.array([0.5, 1.0]))
+    grid = BetaGrid.from_temperatures(np.array([0.5, 1.0]), delta_t=0.5)
     result = exact_observables(spec, grid, czz_sites=[(1, 3)])
     dense = dense_lmg(length, 0.2)
     evals, vecs = np.linalg.eigh(dense)

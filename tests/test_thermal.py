@@ -14,15 +14,15 @@ from mpotrace import (
     identity_mpo,
     ising_mpo,
     multiply,
+    pair_observables,
     partition_traces,
     projector_block,
     run_lanczos,
     sweep_observables,
-    thermal_fidelity,
     to_dense,
-    trace_distance_thermal,
     trace_norm,
 )
+from mpotrace import thermal
 from mpotrace.thermal import LN2
 
 
@@ -77,24 +77,24 @@ def test_partition_traces_requires_identity_start():
 
 
 def test_single_site_fidelity_closed_form(single_site_run):
-    got = thermal_fidelity(single_site_run, 1.0, 2.0)
+    got = pair_observables(single_site_run, [1.0], [2.0])[0][0]
     want = 2.0 * np.cosh(1.5) / np.sqrt(4.0 * np.cosh(1.0) * np.cosh(2.0))
     assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_fidelity_equal_betas_is_exactly_one(single_site_run, ising6_run):
     for run in (single_site_run, ising6_run):
-        assert thermal_fidelity(run, 0.7, 0.7) == 1.0
+        assert pair_observables(run, [0.7], [0.7])[0][0] == 1.0
 
 
 def test_trace_distance_equal_betas_is_exactly_zero(single_site_run, ising6_run):
     for run in (single_site_run, ising6_run):
-        assert trace_distance_thermal(run, 0.7, 0.7) == 0.0
+        assert pair_observables(run, [0.7], [0.7])[1][0] == 0.0
 
 
 def test_trace_distance_pure_vs_mixed_limit(single_site_run):
     # beta0 -> inf gives the ground state, beta1 -> 0 the maximally mixed one
-    got = trace_distance_thermal(single_site_run, 50.0, 1e-12)
+    got = pair_observables(single_site_run, [50.0], [1e-12])[1][0]
     p = np.array([np.exp(50.0), np.exp(-50.0)])
     p /= p.sum()
     want = float(np.sum(np.abs(p - 0.5)))
@@ -118,8 +118,49 @@ def test_thermal_quantities_match_oracle(ising6_run):
         dt_want = float(np.sum(np.abs(
             np.exp(-beta * evals) / np.sum(np.exp(-beta * evals))
             - np.exp(-b1 * evals) / np.sum(np.exp(-b1 * evals)))))
-        assert trace_distance_thermal(ising6_run, beta, b1) == pytest.approx(
+        assert pair_observables(ising6_run, [beta], [b1])[1][0] == pytest.approx(
             dt_want, rel=1e-8)
+
+
+def test_pair_observables_grid_matches_single_pairs(ising6_run):
+    betas = np.array([10.0, 4.0, 1.3, 0.5])
+    pair_betas = np.array([5.0, 4.0, 1.2, 0.25])
+    fid, dist = pair_observables(ising6_run, betas, pair_betas)
+    for i, (b0, b1) in enumerate(zip(betas, pair_betas)):
+        one_fid, one_dist = pair_observables(ising6_run, [b0], [b1])
+        assert fid[i] == one_fid[0] and dist[i] == one_dist[0]
+    log_z = [partition_traces(ising6_run, b)[0] for b in
+             (betas, pair_betas, 0.5 * (betas + pair_betas))]
+    assert np.array_equal(fid, np.exp(log_z[2] - 0.5 * (log_z[0] + log_z[1])))
+    assert fid[1] == 1.0 and dist[1] == 0.0
+
+
+def test_pair_observables_infinite_temperature_partner(single_site_run):
+    betas = np.array([1.0, 3.0])
+    fid, dist = pair_observables(single_site_run, betas, np.zeros(2))
+    want = 2.0 * np.cosh(betas / 2) / np.sqrt(2.0 * np.cosh(betas) * 2.0)
+    assert fid == pytest.approx(want, rel=1e-12)
+    # rho(beta) against I/2: |p0 - 1/2| + |p1 - 1/2| = tanh(beta)
+    assert dist == pytest.approx(np.tanh(betas), rel=1e-12)
+
+
+def test_pair_observables_rejects_unequal_lengths(single_site_run):
+    with pytest.raises(ValueError, match="equal length"):
+        pair_observables(single_site_run, [1.0, 2.0], [1.0])
+
+
+def test_sweep_takes_two_partition_trace_calls(ising6_run, monkeypatch):
+    calls = []
+    original = thermal.partition_traces
+
+    def counting(run, betas):
+        calls.append(len(np.atleast_1d(betas)))
+        return original(run, betas)
+
+    monkeypatch.setattr(thermal, "partition_traces", counting)
+    grid = BetaGrid(np.array([0.2, 0.5, 0.9, 1.4, 2.0]), 0.05)
+    sweep_observables(ising6_run, grid, 6)
+    assert calls == [5, 15]
 
 
 def test_trace_norm_identity():
@@ -267,14 +308,14 @@ def test_heat_capacity_consistent_with_log_z_curvature(ising6_run):
 
 
 def test_entropy_monotone_in_temperature(ising6_run):
-    grid = BetaGrid.from_temperatures(np.arange(0.1, 1.05, 0.05))
+    grid = BetaGrid.from_temperatures(np.arange(0.1, 1.05, 0.05), delta_t=0.05)
     result = sweep_observables(ising6_run, grid, 6)
     assert np.all(np.diff(result.entropy) >= -1e-8)
     result.check_bounds()
 
 
 def test_sweep_observables_columns_consistent(ising6_run):
-    grid = BetaGrid.from_temperatures(np.array([0.25, 0.5, 0.75, 1.0]))
+    grid = BetaGrid.from_temperatures(np.array([0.25, 0.5, 0.75, 1.0]), delta_t=0.25)
     result = sweep_observables(ising6_run, grid, 6)
     betas = 1.0 / result.temperatures
     s_again = entropy_density(result.log_z, result.energy_density * 6, betas, 6)
@@ -290,8 +331,9 @@ def test_sweep_reads_every_beta_from_the_grid(ising6_run):
     assert result.temperatures is grid.temperatures
     assert np.array_equal(result.log_z, partition_traces(ising6_run, grid.betas)[0])
     for i, (b0, b1) in enumerate(zip(grid.betas, grid.pair_betas)):
-        assert result.fidelity[i] == thermal_fidelity(ising6_run, b0, b1)
-        assert result.trace_distance[i] == trace_distance_thermal(ising6_run, b0, b1)
+        fid, dist = pair_observables(ising6_run, [b0], [b1])
+        assert result.fidelity[i] == fid[0]
+        assert result.trace_distance[i] == dist[0]
 
 
 def test_beta_grid_keeps_the_requested_temperatures():
@@ -317,7 +359,8 @@ def test_beta_grid_validation():
     with pytest.raises(ValueError):
         BetaGrid(np.array([0.5, 1.0]), -0.1)
     with pytest.raises(ValueError):
-        BetaGrid.from_temperatures(np.array([0.5, 0.2]))
-    grid = BetaGrid.from_temperatures(np.array([0.2, 0.4, 0.6]))
-    assert grid.delta_t == pytest.approx(0.2)
+        BetaGrid(np.array([0.5, 1.0]), np.inf)
+    with pytest.raises(ValueError):
+        BetaGrid.from_temperatures(np.array([0.5, 0.2]), 0.1)
+    grid = BetaGrid.from_temperatures(np.array([0.2, 0.4, 0.6]), 0.2)
     assert np.allclose(grid.temperatures, [0.2, 0.4, 0.6])
