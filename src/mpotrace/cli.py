@@ -30,6 +30,7 @@ CACHE_VERSION = 4
 
 BASE_COLUMNS = ["model", "L", "param", "T", "logZ", "energy_density", "s", "c", "F_T", "D_T"]
 KNOWN_OUTPUTS = ("s", "c", "F_T", "D_T", "Czz")
+MAX_TEMPERATURES = 10**6  # a larger grid is rejected before any run
 
 
 class ConfigError(ValueError):
@@ -120,6 +121,9 @@ class RunConfig:
             raise ConfigError("grid requires 0 < tmin <= tmax and tstep > 0")
         if self.delta_t is not None and not self.delta_t > 0:
             raise ConfigError("grid.delta_t must be positive")
+        count = self._temperature_count()
+        if not count <= MAX_TEMPERATURES:  # an infinite count too
+            raise ConfigError(f"grid has {count} temperatures, more than {MAX_TEMPERATURES}")
         if self.k_max < 1 or self.d_max < 1:
             raise ConfigError("lanczos.kmax and lanczos.dmax must be >= 1")
         if not self.outputs:
@@ -167,9 +171,13 @@ class RunConfig:
                     specs.append(ModelSpec("lmg", length, h_field=h))
         return specs
 
+    def _temperature_count(self):
+        """Points of the grid tmin + k*tstep up to tmax; inf if the ratio overflows."""
+        span = (self.tmax - self.tmin) / self.tstep + 1e-9
+        return math.floor(span) + 1 if math.isfinite(span) else span
+
     def temperatures(self):
-        n = int(math.floor((self.tmax - self.tmin) / self.tstep + 1e-9)) + 1
-        return np.array([self.tmin + k * self.tstep for k in range(n)])
+        return self.tmin + np.arange(self._temperature_count()) * self.tstep
 
     def effective_delta_t(self):
         if self.delta_t is not None:

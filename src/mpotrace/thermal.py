@@ -1,16 +1,14 @@
 """Thermal-equilibrium observables as quadrature functionals of H.
 
-Every quantity is a combination of weighted sums over one reusable
-quadrature rule: partition function, energy and its variance, entropy
-density, specific heat, thermal fidelity, trace distance, trace norm and
-two-site sz correlators. F_T and D_T of a whole grid come from one
-``partition_traces`` call on the stacked betas. All exponentials are taken
-relative to the minimum node, so no intermediate can overflow no matter how
-large beta * ||H|| gets.
-The heat capacity is beta^2/L times the centred variance
-sum_j p_j (node_j - <H>)^2 over the normalized Gibbs weights, as in
-``oracle.exact_observables``, so it is non-negative and keeps its relative
-accuracy when c is many orders below (F/Z)^2.
+Every thermal quantity reduces one Gibbs distribution: ``_gibbs(run, beta)``
+returns log Z and the weights p_j = w_j e^{-beta node_j} / Z on a run's Gauss
+rule. It is the only place that checks beta or exponentiates nodes, and it
+shifts by the run's minimum node, so p_j <= 1 and nothing overflows at any
+beta * ||H||. The energy, the centred variance (c = beta^2 Var H / L, as in
+``oracle.exact_observables``: non-negative, and accurate when c << (F/Z)^2),
+the entropy, F_T = Z(mid) / sqrt(Z Z'), D_T = sum_j |p_j - p'_j| and the
+ratios Z_p / Z behind expectations and sz correlators all reduce it.
+``trace_norm`` is the one functional here that is not thermal.
 """
 
 from __future__ import annotations
@@ -74,39 +72,40 @@ def _require_identity_start(run):
         )
 
 
-def _shifted_sums(nodes, weights, beta, lam_ref):
-    m = weights * np.exp(-beta * (nodes - lam_ref))
+def _gibbs(run, beta):
+    """(log Z, p) of e^{-beta H} on ``run``'s Gauss rule.
+
+    p_j = w_j e^{-beta (node_j - node_0)} / sum_k w_k e^{-beta (node_k - node_0)}
+    with node_0 the minimum node, and log Z = -beta node_0 + log of that sum.
+    """
+    if beta < 0.0 or not np.isfinite(beta):
+        raise ValueError("beta must be finite and >= 0")
+    nodes = run.quadrature.nodes
+    m = run.quadrature.weights * np.exp(-beta * (nodes - nodes[0]))
     tot = float(np.sum(m))
     if not np.isfinite(tot) or tot <= 0.0:
         raise NumericalError("degenerate quadrature mass; run looks corrupt")
-    return tot, m
+    return -beta * float(nodes[0]) + float(np.log(tot)), m / tot
 
 
 def partition_traces(run, betas):
     """(log Z, F/Z, centred variance of H) per beta from one identity-start run.
 
-    log Z = -beta*lam_ref + log sum_j w_j e^{-beta (node_j - lam_ref)} with
-    lam_ref the minimum node; the mean and the variance sum (node - mean)^2
-    are taken over the shifted masses divided by their sum, so the shift
-    cancels exactly and the variance is non-negative with no cancellation.
+    The mean is sum_j p_j node_j and the variance sum_j p_j (node_j - mean)^2
+    over the Gibbs weights of ``_gibbs``, so the variance is non-negative with
+    no cancellation.
     """
     _require_identity_start(run)
     nodes = run.quadrature.nodes
-    weights = run.quadrature.weights
-    lam_ref = float(nodes[0])
     b = np.atleast_1d(np.asarray(betas, dtype=float))
     log_z = np.empty(b.size)
     mean = np.empty(b.size)
     var = np.empty(b.size)
     for idx, beta in enumerate(b):
-        if beta < 0.0 or not np.isfinite(beta):
-            raise ValueError("beta must be finite and >= 0")
-        tot, m = _shifted_sums(nodes, weights, beta, lam_ref)
-        log_z[idx] = -beta * lam_ref + float(np.log(tot))
-        mu = float(np.dot(m, nodes)) / tot
-        d = nodes - mu
-        mean[idx] = mu
-        var[idx] = float(np.dot(m, d * d)) / tot
+        log_z[idx], p = _gibbs(run, beta)
+        mean[idx] = float(np.dot(p, nodes))
+        d = nodes - mean[idx]
+        var[idx] = float(np.dot(p, d * d))
     return log_z, mean, var
 
 
@@ -121,29 +120,26 @@ def pair_observables(run, betas, pair_betas):
 
     F_T = Z((b+b')/2) / sqrt(Z(b) Z(b')), taken in the log domain;
     Cauchy-Schwarz on the quadrature measure keeps it <= 1. D_T is the
-    Schatten-1 distance between the two Gibbs states of the same H, with each
-    term |e^a - e^b| evaluated as e^{max(a,b)} (1 - e^{-|a-b|}) so that it
-    never overflows. Equal arguments give exactly 1 and exactly 0. One
-    ``partition_traces`` call on the stacked grid (b, b', midpoint) serves
-    both, so any finite beta >= 0 is accepted: b' = 0 is the
-    infinite-temperature state.
+    Schatten-1 distance sum_j |p_j - p'_j| between the Gibbs weights of the
+    two states of the same H; each weight is at most 1, so it cannot
+    overflow. Equal arguments give exactly 1 and exactly 0. Any finite
+    beta >= 0 is accepted: b' = 0 is the infinite-temperature state.
     """
+    _require_identity_start(run)
     b0 = np.atleast_1d(np.asarray(betas, dtype=float))
     b1 = np.atleast_1d(np.asarray(pair_betas, dtype=float))
     if b0.shape != b1.shape:
         raise ValueError("betas and pair_betas must have equal length")
-    log_z, _, _ = partition_traces(run, np.concatenate([b0, b1, 0.5 * (b0 + b1)]))
-    lz0, lz1, lz_mid = np.split(log_z, 3)
-    fidelity = np.exp(lz_mid - 0.5 * (lz0 + lz1))
-    nodes = run.quadrature.nodes
-    weights = run.quadrature.weights
+    lz0 = np.empty(b0.size)
+    lz1 = np.empty(b0.size)
+    lz_mid = np.empty(b0.size)
     distance = np.empty(b0.size)
     for idx in range(b0.size):
-        a = -b0[idx] * nodes - lz0[idx]
-        b = -b1[idx] * nodes - lz1[idx]
-        hi = np.maximum(a, b)
-        diff = -np.expm1(-np.abs(a - b))
-        distance[idx] = np.sum(weights * np.exp(hi) * diff)
+        lz0[idx], p0 = _gibbs(run, b0[idx])
+        lz1[idx], p1 = _gibbs(run, b1[idx])
+        lz_mid[idx], _ = _gibbs(run, 0.5 * (b0[idx] + b1[idx]))
+        distance[idx] = np.sum(np.abs(p0 - p1))
+    fidelity = np.exp(lz_mid - 0.5 * (lz0 + lz1))
     return fidelity, distance
 
 
@@ -169,9 +165,9 @@ def expectation(parts, z_run, betas):
     """<O>(beta) for O = sum_p sign_p O_p, from per-part quadrature runs.
 
     Each part's run must have used sqrt(O_p) as starting block; the partition
-    function comes from the separate identity-start run ``z_run``. One global
-    minimum node serves as shift for all runs, so numerator and denominator
-    share the same (cancelling) exponential prefactor.
+    function comes from the separate identity-start run ``z_run``. Then
+    <O> = sum_p sign_p exp(log Z_p - log Z), each log taken by ``_gibbs`` on
+    its own run.
     """
     _require_identity_start(z_run)
     for _, part in parts:
@@ -180,20 +176,10 @@ def expectation(parts, z_run, betas):
                 f"mismatched Hamiltonians: {part.model_label!r} vs {z_run.model_label!r}"
             )
     b = np.atleast_1d(np.asarray(betas, dtype=float))
-    lam_ref = min(
-        [float(z_run.quadrature.nodes[0])]
-        + [float(r.quadrature.nodes[0]) for _, r in parts]
-    )
-    out = np.zeros(b.size)
+    out = np.empty(b.size)
     for idx, beta in enumerate(b):
-        num = 0.0
-        for sign, part in parts:
-            tot, _ = _shifted_sums(part.quadrature.nodes, part.quadrature.weights,
-                                   beta, lam_ref)
-            num += sign * tot
-        den, _ = _shifted_sums(z_run.quadrature.nodes, z_run.quadrature.weights,
-                               beta, lam_ref)
-        out[idx] = num / den
+        log_z, _ = _gibbs(z_run, beta)
+        out[idx] = sum(sign * np.exp(_gibbs(part, beta)[0] - log_z) for sign, part in parts)
     return out
 
 

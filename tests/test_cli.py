@@ -48,6 +48,16 @@ def test_temperature_grid_point_count(tmp_path):
     assert temps[-1] == pytest.approx(1.0)
 
 
+def test_temperature_grid_size_is_bounded(tmp_path):
+    # checked before any run and before the grid is built
+    with pytest.raises(ConfigError, match="temperatures"):
+        small_config(tmp_path, tmin=1e-9, tmax=1.0, tstep=1e-9).validate()
+    limit = small_config(tmp_path, tmin=1.0, tmax=1.0 + (cli.MAX_TEMPERATURES - 1) * 0.5,
+                         tstep=0.5)
+    limit.validate()
+    assert limit.temperatures().size == cli.MAX_TEMPERATURES
+
+
 def test_config_file_round_trip(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text(
@@ -366,11 +376,12 @@ _LONG_SPIN_FLIP = ["--L", "12", "--J", "1", "--czz-symmetry", "spin-flip", "--km
     ["--tstep", "inf"],  # T = tmin + 0 * inf is nan
     ["--delta-t", "inf"],  # the partner beta would be 0
     ["--tmax", "inf"],  # an infinite number of temperatures
+    ["--tmin", "1e-9", "--tstep", "5e-324"],  # (tmax - tmin) / tstep overflows
 ], ids=["czz-same-site", "czz-out-of-range", "J-nan", "g-inf", "czz-spin-flip-broken",
         "czz-spin-flip-broken-L12", "reorthogonalize-flag", "breakdown-tol-flag",
         "ising-with-h", "lmg-with-g", "lmg-with-J", "L-repeated", "h-repeated",
         "czz-repeated", "czz-reversed", "czz-without-Czz", "spin-flip-without-Czz",
-        "tstep-inf", "delta-t-inf", "tmax-inf"])
+        "tstep-inf", "delta-t-inf", "tmax-inf", "tstep-subnormal"])
 def test_main_bad_sweep_input_is_config_error(tmp_path, capsys, flags):
     code = cli.main(["sweep", "--model", "ising", "--L", "4", "--outputs", "s,Czz",
                      "--czz", "1:2", *flags, "--out", str(tmp_path / "x.csv")])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from mpotrace import (
     dagger,
     entropy_density,
     exact_bond_cap,
+    expectation,
     identity_block,
     identity_mpo,
     ising_mpo,
@@ -23,6 +26,7 @@ from mpotrace import (
     trace_norm,
 )
 from mpotrace import thermal
+from mpotrace.lanczos import NumericalError, QuadratureRule
 from mpotrace.thermal import LN2
 
 
@@ -114,12 +118,14 @@ def test_thermal_quantities_match_oracle(ising6_run):
         assert log_z[0] == pytest.approx(lz_want, rel=1e-8)
         assert f_over_z[0] == pytest.approx(float(p @ evals), rel=1e-8)
         assert var[0] == pytest.approx(float(p @ (evals - p @ evals) ** 2), rel=1e-8)
-        b1 = 1.0 / (t + 0.1)
-        dt_want = float(np.sum(np.abs(
-            np.exp(-beta * evals) / np.sum(np.exp(-beta * evals))
-            - np.exp(-b1 * evals) / np.sum(np.exp(-b1 * evals)))))
-        assert pair_observables(ising6_run, [beta], [b1])[1][0] == pytest.approx(
-            dt_want, rel=1e-8)
+        # a near-equal partner leaves D_T as a small difference of two states
+        for delta, rel in ((0.1, 1e-8), (1e-3, 1e-9)):
+            b1 = 1.0 / (t + delta)
+            dt_want = float(np.sum(np.abs(
+                np.exp(-beta * evals) / np.sum(np.exp(-beta * evals))
+                - np.exp(-b1 * evals) / np.sum(np.exp(-b1 * evals)))))
+            assert pair_observables(ising6_run, [beta], [b1])[1][0] == pytest.approx(
+                dt_want, rel=rel)
 
 
 def test_pair_observables_grid_matches_single_pairs(ising6_run):
@@ -149,7 +155,7 @@ def test_pair_observables_rejects_unequal_lengths(single_site_run):
         pair_observables(single_site_run, [1.0, 2.0], [1.0])
 
 
-def test_sweep_takes_two_partition_trace_calls(ising6_run, monkeypatch):
+def test_sweep_takes_one_partition_trace_call(ising6_run, monkeypatch):
     calls = []
     original = thermal.partition_traces
 
@@ -160,7 +166,25 @@ def test_sweep_takes_two_partition_trace_calls(ising6_run, monkeypatch):
     monkeypatch.setattr(thermal, "partition_traces", counting)
     grid = BetaGrid(np.array([0.2, 0.5, 0.9, 1.4, 2.0]), 0.05)
     sweep_observables(ising6_run, grid, 6)
-    assert calls == [5, 15]
+    assert calls == [5]
+
+
+@pytest.mark.parametrize("beta", [-1.0, np.inf, np.nan], ids=["negative", "inf", "nan"])
+@pytest.mark.parametrize("evaluate", [
+    lambda run, b: partition_traces(run, [0.5, b]),
+    lambda run, b: pair_observables(run, [0.5, 1.0], [1.0, b]),
+    lambda run, b: expectation([(1.0, run)], run, [0.5, b]),
+], ids=["partition_traces", "pair_observables", "expectation"])
+def test_every_thermal_function_rejects_a_bad_beta(single_site_run, evaluate, beta):
+    with pytest.raises(ValueError, match="beta must be finite and >= 0"):
+        evaluate(single_site_run, beta)
+
+
+def test_zero_quadrature_mass_is_numerical_error(single_site_run):
+    nodes = single_site_run.quadrature.nodes
+    run = replace(single_site_run, quadrature=QuadratureRule(nodes, np.zeros_like(nodes)))
+    with pytest.raises(NumericalError, match="degenerate quadrature mass"):
+        partition_traces(run, [1.0])
 
 
 def test_trace_norm_identity():
