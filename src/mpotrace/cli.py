@@ -408,22 +408,14 @@ def write_sweep_csv(path, results, czz_pairs=()):
     columns = BASE_COLUMNS + [f"Czz_{i}_{j}" for (i, j) in czz_pairs]
     lines = [",".join(columns)]
     for spec, result in results:
-        for idx, t in enumerate(result.temperatures):
-            row = [
-                spec.family,
-                str(spec.length),
-                spec.param_text(),
-                _fmt(t),
-                _fmt(result.log_z[idx]),
-                _fmt(result.energy_density[idx]),
-                _fmt(result.entropy[idx]),
-                _fmt(result.heat_capacity[idx]),
-                _fmt(result.fidelity[idx]),
-                _fmt(result.trace_distance[idx]),
-            ]
-            for pair in czz_pairs:
-                row.append(_fmt(result.czz[pair][idx]))
-            lines.append(",".join(row))
+        head = f"{spec.family},{spec.length},{spec.param_text()},"
+        values = [result.temperatures, result.log_z, result.energy_density, result.entropy,
+                  result.heat_capacity, result.fidelity, result.trace_distance]
+        values += [result.czz[pair] for pair in czz_pairs]
+        # format(x, ".17g") of every cell, one str.format call per row
+        row = ",".join(["{:.17g}"] * len(values))
+        lines += [head + row.format(*cells) for cells in
+                  zip(*(np.asarray(col, dtype=float).tolist() for col in values))]
     payload = "\n".join(lines) + "\n"
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "w", encoding="utf-8", newline="") as fh:

@@ -4,15 +4,24 @@ Every thermal quantity reduces one Gibbs distribution: ``_gibbs(run, beta)``
 returns log Z and the weights p_j = w_j e^{-beta node_j} / Z on a run's Gauss
 rule. It is the only place that checks beta or exponentiates nodes, and it
 shifts by the run's minimum node, so p_j <= 1 and nothing overflows at any
-beta * ||H||. The energy, the centred variance (c = beta^2 Var H / L, as in
-``oracle.exact_observables``: non-negative, and accurate when c << (F/Z)^2),
-the entropy, F_T = Z(mid) / sqrt(Z Z'), D_T = sum_j |p_j - p'_j| and the
-ratios Z_p / Z behind expectations and sz correlators all reduce it.
-``trace_norm`` is the one functional here that is not thermal.
+beta * ||H||.
+
+``_per_beta`` holds the one per-temperature loop. It evaluates each (run, beta)
+once and reduces that (log Z, p) to log Z, the energy and the centred variance
+(c = beta^2 Var H / L, as in ``oracle.exact_observables``: non-negative, and
+accurate when c << (F/Z)^2). Given a partner grid it also evaluates beta' and
+the midpoint, for F_T = Z(mid) / sqrt(Z Z') and D_T = sum_j |p_j - p'_j| with
+the same p. So a sweep point costs 3 evaluations per temperature.
+``partition_traces``, ``pair_observables`` and ``sweep_observables`` are its
+three entry points. The ratios Z_p / Z behind expectations and sz
+correlators take log Z of each run from it too; a correlator's log Z of the
+identity run is taken once per beta for all its parts. ``trace_norm`` is the
+one functional here that is not thermal.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,14 +87,52 @@ def _gibbs(run, beta):
     p_j = w_j e^{-beta (node_j - node_0)} / sum_k w_k e^{-beta (node_k - node_0)}
     with node_0 the minimum node, and log Z = -beta node_0 + log of that sum.
     """
-    if beta < 0.0 or not np.isfinite(beta):
+    if beta < 0.0 or not math.isfinite(beta):
         raise ValueError("beta must be finite and >= 0")
     nodes = run.quadrature.nodes
     m = run.quadrature.weights * np.exp(-beta * (nodes - nodes[0]))
-    tot = float(np.sum(m))
-    if not np.isfinite(tot) or tot <= 0.0:
+    tot = float(m.sum())
+    if not math.isfinite(tot) or tot <= 0.0:
         raise NumericalError("degenerate quadrature mass; run looks corrupt")
     return -beta * float(nodes[0]) + float(np.log(tot)), m / tot
+
+
+def _as_betas(betas):
+    return np.atleast_1d(np.asarray(betas, dtype=float))
+
+
+def _per_beta(run, betas, pair_betas=None):
+    """(log Z, F/Z, centred variance of H) per beta, and (F_T, D_T) per pair.
+
+    The one per-temperature loop: ``_gibbs`` once per beta, whose p gives the
+    mean sum_j p_j node_j and the variance sum_j p_j (node_j - mean)^2. With
+    ``pair_betas`` it also takes ``_gibbs`` at beta' and at the midpoint, and
+    the same p gives D_T. Both arrays are 1-d float arrays of equal length.
+    """
+    nodes = run.quadrature.nodes
+    n = betas.size
+    log_z = np.empty(n)
+    mean = np.empty(n)
+    var = np.empty(n)
+    if pair_betas is not None:
+        lz1 = np.empty(n)
+        lz_mid = np.empty(n)
+        distance = np.empty(n)
+    for idx in range(n):
+        beta = betas[idx]
+        log_z[idx], p = _gibbs(run, beta)
+        mean[idx] = mu = float(p.dot(nodes))
+        d = nodes - mu
+        var[idx] = float(p.dot(d * d))
+        if pair_betas is not None:
+            b1 = pair_betas[idx]
+            lz1[idx], p1 = _gibbs(run, b1)
+            lz_mid[idx], _ = _gibbs(run, 0.5 * (beta + b1))
+            distance[idx] = np.abs(p - p1).sum()
+    if pair_betas is None:
+        return log_z, mean, var
+    fidelity = np.exp(lz_mid - 0.5 * (log_z + lz1))
+    return log_z, mean, var, fidelity, distance
 
 
 def partition_traces(run, betas):
@@ -96,17 +143,7 @@ def partition_traces(run, betas):
     no cancellation.
     """
     _require_identity_start(run)
-    nodes = run.quadrature.nodes
-    b = np.atleast_1d(np.asarray(betas, dtype=float))
-    log_z = np.empty(b.size)
-    mean = np.empty(b.size)
-    var = np.empty(b.size)
-    for idx, beta in enumerate(b):
-        log_z[idx], p = _gibbs(run, beta)
-        mean[idx] = float(np.dot(p, nodes))
-        d = nodes - mean[idx]
-        var[idx] = float(np.dot(p, d * d))
-    return log_z, mean, var
+    return _per_beta(run, _as_betas(betas))
 
 
 def entropy_density(log_z, f_over_z, beta, length):
@@ -126,21 +163,11 @@ def pair_observables(run, betas, pair_betas):
     beta >= 0 is accepted: b' = 0 is the infinite-temperature state.
     """
     _require_identity_start(run)
-    b0 = np.atleast_1d(np.asarray(betas, dtype=float))
-    b1 = np.atleast_1d(np.asarray(pair_betas, dtype=float))
+    b0 = _as_betas(betas)
+    b1 = _as_betas(pair_betas)
     if b0.shape != b1.shape:
         raise ValueError("betas and pair_betas must have equal length")
-    lz0 = np.empty(b0.size)
-    lz1 = np.empty(b0.size)
-    lz_mid = np.empty(b0.size)
-    distance = np.empty(b0.size)
-    for idx in range(b0.size):
-        lz0[idx], p0 = _gibbs(run, b0[idx])
-        lz1[idx], p1 = _gibbs(run, b1[idx])
-        lz_mid[idx], _ = _gibbs(run, 0.5 * (b0[idx] + b1[idx]))
-        distance[idx] = np.sum(np.abs(p0 - p1))
-    fidelity = np.exp(lz_mid - 0.5 * (lz0 + lz1))
-    return fidelity, distance
+    return _per_beta(run, b0, b1)[3:]
 
 
 def trace_norm(run):
@@ -161,6 +188,24 @@ def trace_norm(run):
     return float(np.dot(run.quadrature.weights, np.sqrt(clamped)))
 
 
+def _z_log_z(z_run, runs, betas):
+    """log Z of the identity-start ``z_run`` per beta, once every run in
+    ``runs`` is checked to be of the same Hamiltonian."""
+    _require_identity_start(z_run)
+    for run in runs:
+        if run.model_label and z_run.model_label and run.model_label != z_run.model_label:
+            raise ValueError(
+                f"mismatched Hamiltonians: {run.model_label!r} vs {z_run.model_label!r}"
+            )
+    return _per_beta(z_run, betas)[0]
+
+
+def _part_sum(parts, log_z, betas):
+    """sum_p sign_p exp(log Z_p - log Z) per beta, with log Z_p from each part's run."""
+    return sum((sign * np.exp(_per_beta(part, betas)[0] - log_z) for sign, part in parts),
+               np.zeros(betas.size))
+
+
 def expectation(parts, z_run, betas):
     """<O>(beta) for O = sum_p sign_p O_p, from per-part quadrature runs.
 
@@ -169,18 +214,8 @@ def expectation(parts, z_run, betas):
     <O> = sum_p sign_p exp(log Z_p - log Z), each log taken by ``_gibbs`` on
     its own run.
     """
-    _require_identity_start(z_run)
-    for _, part in parts:
-        if part.model_label and z_run.model_label and part.model_label != z_run.model_label:
-            raise ValueError(
-                f"mismatched Hamiltonians: {part.model_label!r} vs {z_run.model_label!r}"
-            )
-    b = np.atleast_1d(np.asarray(betas, dtype=float))
-    out = np.empty(b.size)
-    for idx, beta in enumerate(b):
-        log_z, _ = _gibbs(z_run, beta)
-        out[idx] = sum(sign * np.exp(_gibbs(part, beta)[0] - log_z) for sign, part in parts)
-    return out
+    b = _as_betas(betas)
+    return _part_sum(parts, _z_log_z(z_run, [part for _, part in parts], b), b)
 
 
 def _spin_flip_defect(h):
@@ -229,8 +264,13 @@ def zz_blocks(h, i, j, symmetry="none"):
 
 
 def zz_from_runs(runs, z_run, betas):
-    """C_zz per beta from the runs of ``zz_blocks``' blocks, in its order."""
-    parts = [expectation([(1.0, pos), (-1.0, neg)], z_run, betas)
+    """C_zz per beta from the runs of ``zz_blocks``' blocks, in its order.
+
+    Every part pair is an expectation over the same log Z, taken once per beta.
+    """
+    b = _as_betas(betas)
+    log_z = _z_log_z(z_run, runs, b)
+    parts = [_part_sum([(1.0, pos), (-1.0, neg)], log_z, b)
              for pos, neg in zip(runs[::2], runs[1::2])]
     if len(parts) == 1:  # spin-flip: <sz_i> = 0
         return 2.0 * parts[0]
@@ -277,11 +317,11 @@ class ThermalSweepResult:
 
 def sweep_observables(run, grid, length):
     """All base observables on a temperature grid from one identity-start run."""
+    _require_identity_start(run)
     betas = grid.betas
-    log_z, f_over_z, var = partition_traces(run, betas)
+    log_z, f_over_z, var, fid, dist = _per_beta(run, betas, grid.pair_betas)
     s = entropy_density(log_z, f_over_z, betas, length)
     c = betas ** 2 / length * var
-    fid, dist = pair_observables(run, betas, grid.pair_betas)
     return ThermalSweepResult(
         temperatures=grid.temperatures,
         log_z=log_z,

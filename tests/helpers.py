@@ -139,3 +139,72 @@ def dm_chain_mpo(length, j_coupling, d_coupling, g_field):
 def raising_chain_mpo(length):
     """sigma+ sx on every bond plus sz: real, graded and not symmetric."""
     return _nearest_neighbour_chain(length, [SP], [SX], SZ)
+
+
+def reference_gibbs(run, beta):
+    """(log Z, p) of e^{-beta H} on a run's Gauss rule, one beta at a time.
+
+    This and the loops below are the thermal layer's per-temperature
+    arithmetic written out plainly, with the numpy module reductions; the
+    package must reproduce every value of them bit for bit.
+    """
+    if beta < 0.0 or not np.isfinite(beta):
+        raise ValueError("beta must be finite and >= 0")
+    nodes = run.quadrature.nodes
+    m = run.quadrature.weights * np.exp(-beta * (nodes - nodes[0]))
+    tot = float(np.sum(m))
+    if not np.isfinite(tot) or tot <= 0.0:
+        raise ArithmeticError("degenerate quadrature mass")
+    return -beta * float(nodes[0]) + float(np.log(tot)), m / tot
+
+
+def reference_partition_traces(run, betas):
+    """(log Z, F/Z, centred Var H) per beta."""
+    nodes = run.quadrature.nodes
+    b = np.atleast_1d(np.asarray(betas, dtype=float))
+    log_z = np.empty(b.size)
+    mean = np.empty(b.size)
+    var = np.empty(b.size)
+    for idx, beta in enumerate(b):
+        log_z[idx], p = reference_gibbs(run, beta)
+        mean[idx] = float(np.dot(p, nodes))
+        d = nodes - mean[idx]
+        var[idx] = float(np.dot(p, d * d))
+    return log_z, mean, var
+
+
+def reference_pair_observables(run, betas, pair_betas):
+    """(F_T, D_T) per pair (beta, beta'), each state evaluated on its own."""
+    b0 = np.atleast_1d(np.asarray(betas, dtype=float))
+    b1 = np.atleast_1d(np.asarray(pair_betas, dtype=float))
+    lz0 = np.empty(b0.size)
+    lz1 = np.empty(b0.size)
+    lz_mid = np.empty(b0.size)
+    distance = np.empty(b0.size)
+    for idx in range(b0.size):
+        lz0[idx], p0 = reference_gibbs(run, b0[idx])
+        lz1[idx], p1 = reference_gibbs(run, b1[idx])
+        lz_mid[idx], _ = reference_gibbs(run, 0.5 * (b0[idx] + b1[idx]))
+        distance[idx] = np.sum(np.abs(p0 - p1))
+    return np.exp(lz_mid - 0.5 * (lz0 + lz1)), distance
+
+
+def reference_expectation(parts, z_run, betas):
+    """<O> per beta: log Z of every run taken per (part, beta)."""
+    b = np.atleast_1d(np.asarray(betas, dtype=float))
+    out = np.empty(b.size)
+    for idx, beta in enumerate(b):
+        log_z, _ = reference_gibbs(z_run, beta)
+        out[idx] = sum(sign * np.exp(reference_gibbs(part, beta)[0] - log_z)
+                       for sign, part in parts)
+    return out
+
+
+def reference_zz_from_runs(runs, z_run, betas):
+    """C_zz per beta from the runs of ``thermal.zz_blocks``' blocks, in its order."""
+    parts = [reference_expectation([(1.0, pos), (-1.0, neg)], z_run, betas)
+             for pos, neg in zip(runs[::2], runs[1::2])]
+    if len(parts) == 1:
+        return 2.0 * parts[0]
+    zz, z_i, z_j = parts
+    return zz - z_i * z_j

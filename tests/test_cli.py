@@ -163,6 +163,44 @@ def test_csv_reports_the_requested_temperatures(tmp_path):
     assert [row.split(",")[3] for row in rows] == want
 
 
+def _per_cell_csv(results, czz_pairs):
+    """The sweep CSV written one cell at a time: format(float(x), ".17g")."""
+    lines = [",".join(cli.BASE_COLUMNS + [f"Czz_{i}_{j}" for i, j in czz_pairs])]
+    for spec, result in results:
+        for idx, t in enumerate(result.temperatures):
+            cells = [t, result.log_z[idx], result.energy_density[idx], result.entropy[idx],
+                     result.heat_capacity[idx], result.fidelity[idx],
+                     result.trace_distance[idx]]
+            cells += [result.czz[pair][idx] for pair in czz_pairs]
+            lines.append(",".join([spec.family, str(spec.length), spec.param_text()]
+                                  + [format(float(x), ".17g") for x in cells]))
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_writer_matches_a_per_cell_writer(tmp_path):
+    # every column holds values whose repr or a shorter format differs from
+    # 17 significant digits: -0 ('-0.0'), 0.1 ('0.1') and the smallest
+    # subnormal ('5e-324'); 1e308 is the top of the range
+    values = np.array([-0.0, 5e-324, 1e308, 0.1, 1.0 / 3.0, 2.0 ** -1074 * 3])
+    pairs = ((1, 2), (2, 4))
+
+    def result(shift):
+        cols = [np.roll(values, shift + k) for k in range(9)]
+        return cli.thermal.ThermalSweepResult(
+            *cols[:7], czz={pair: col for pair, col in zip(pairs, cols[7:])})
+
+    results = [(cli.ModelSpec("ising", 4, 1.0, 0.5), result(0)),
+               (cli.ModelSpec("lmg", 6, h_field=0.1), result(3))]
+    path = tmp_path / "rows.csv"
+    cli.write_sweep_csv(str(path), results, pairs)
+    text = path.read_bytes().decode("utf-8")
+    assert text == _per_cell_csv(results, pairs)
+    assert text.count("\n") == 1 + 2 * values.size
+    for token in (",-0,", ",4.9406564584124654e-324,", ",1e+308,", ",0.10000000000000001,"):
+        assert token in text
+    assert os.listdir(tmp_path) == ["rows.csv"]  # the temporary file was renamed
+
+
 def test_run_sweep_deterministic(tmp_path):
     cfg_a = small_config(tmp_path, out_path=str(tmp_path / "a.csv"))
     cfg_b = small_config(tmp_path, out_path=str(tmp_path / "b.csv"))

@@ -3,7 +3,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import dense_ising, site_op, SZ
+from helpers import (
+    SZ,
+    dense_ising,
+    reference_expectation,
+    reference_pair_observables,
+    reference_partition_traces,
+    reference_zz_from_runs,
+    site_op,
+)
 from mpotrace import (
     BetaGrid,
     LanczosConfig,
@@ -16,6 +24,7 @@ from mpotrace import (
     identity_block,
     identity_mpo,
     ising_mpo,
+    lmg_mpo,
     multiply,
     pair_observables,
     partition_traces,
@@ -24,6 +33,8 @@ from mpotrace import (
     sweep_observables,
     to_dense,
     trace_norm,
+    zz_blocks,
+    zz_from_runs,
 )
 from mpotrace import thermal
 from mpotrace.lanczos import NumericalError, QuadratureRule
@@ -42,6 +53,13 @@ def ising6_run():
     h = ising_mpo(length, 1.0, 1.0)
     cfg = LanczosConfig(k_max=40, d_max=exact_bond_cap(length))
     return run_lanczos(h, identity_block(length), cfg, "ising:L=6:J=1.0:g=1.0")
+
+
+@pytest.fixture(scope="module")
+def lmg8_run():
+    # the sizes of the lmg_fields_warm benchmark workload; D=24 truncates at L=8
+    cfg = LanczosConfig(k_max=40, d_max=24)
+    return run_lanczos(lmg_mpo(8, 0.6), identity_block(8), cfg, "lmg:L=8:h=0.6")
 
 
 def test_single_site_partition_function(single_site_run):
@@ -155,18 +173,73 @@ def test_pair_observables_rejects_unequal_lengths(single_site_run):
         pair_observables(single_site_run, [1.0, 2.0], [1.0])
 
 
-def test_sweep_takes_one_partition_trace_call(ising6_run, monkeypatch):
+def _count_gibbs(monkeypatch):
+    """Record the run of every thermal._gibbs evaluation from here on."""
     calls = []
-    original = thermal.partition_traces
+    original = thermal._gibbs
 
-    def counting(run, betas):
-        calls.append(len(np.atleast_1d(betas)))
-        return original(run, betas)
+    def counting(run, beta):
+        calls.append(run)
+        return original(run, beta)
 
-    monkeypatch.setattr(thermal, "partition_traces", counting)
+    monkeypatch.setattr(thermal, "_gibbs", counting)
+    return calls
+
+
+def test_sweep_point_evaluates_three_gibbs_distributions_per_temperature(
+        ising6_run, monkeypatch):
+    # beta, its partner beta' and their midpoint: the state at beta is
+    # evaluated once and serves the moments and D_T alike
+    calls = _count_gibbs(monkeypatch)
     grid = BetaGrid(np.array([0.2, 0.5, 0.9, 1.4, 2.0]), 0.05)
     sweep_observables(ising6_run, grid, 6)
-    assert calls == [5]
+    assert len(calls) == 3 * 5
+
+
+def test_correlator_takes_log_z_of_the_identity_run_once_per_temperature(
+        ising6_run, monkeypatch):
+    parts = [replace(ising6_run) for _ in range(6)]  # three part pairs, distinct runs
+    betas = np.array([0.5, 1.0, 3.0])
+    calls = _count_gibbs(monkeypatch)
+    zz_from_runs(parts, ising6_run, betas)
+    assert sum(run is ising6_run for run in calls) <= betas.size
+    assert all(sum(run is part for run in calls) == betas.size for part in parts)
+
+
+def test_sweep_columns_equal_the_per_temperature_reference(lmg8_run):
+    grid = BetaGrid(0.1 + 0.001 * np.arange(1901), 0.001)
+    betas = grid.betas
+    result = sweep_observables(lmg8_run, grid, 8)
+    log_z, mean, var = reference_partition_traces(lmg8_run, betas)
+    fid, dist = reference_pair_observables(lmg8_run, betas, grid.pair_betas)
+    assert np.array_equal(result.temperatures, grid.temperatures)
+    assert np.array_equal(result.log_z, log_z)
+    assert np.array_equal(result.energy_density, mean / 8)
+    assert np.array_equal(result.entropy, entropy_density(log_z, mean, betas, 8))
+    assert np.array_equal(result.heat_capacity, betas ** 2 / 8 * var)
+    assert np.array_equal(result.fidelity, fid)
+    assert np.array_equal(result.trace_distance, dist)
+    for got, want in zip(partition_traces(lmg8_run, betas), (log_z, mean, var)):
+        assert np.array_equal(got, want)
+    # the infinite-temperature partner beta' = 0
+    zeros = np.zeros(betas.size)
+    for got, want in zip(pair_observables(lmg8_run, betas, zeros),
+                         reference_pair_observables(lmg8_run, betas, zeros)):
+        assert np.array_equal(got, want)
+
+
+def test_correlators_equal_the_per_temperature_reference():
+    length = 4
+    h = ising_mpo(length, 1.0, 0.7)
+    cfg = LanczosConfig(k_max=16, d_max=exact_bond_cap(length))
+    z_run = run_lanczos(h, identity_block(length), cfg, "i4")
+    runs = [run_lanczos(h, block, cfg, "i4") for block in zz_blocks(h, 2, 3)]
+    betas = np.array([0.1, 0.5, 1.0, 2.0, 10.0])
+    assert np.array_equal(zz_from_runs(runs, z_run, betas),
+                          reference_zz_from_runs(runs, z_run, betas))
+    parts = [(1.0, runs[0]), (-1.0, runs[1]), (0.5, runs[2])]
+    assert np.array_equal(expectation(parts, z_run, betas),
+                          reference_expectation(parts, z_run, betas))
 
 
 @pytest.mark.parametrize("beta", [-1.0, np.inf, np.nan], ids=["negative", "inf", "nan"])
