@@ -96,16 +96,11 @@ class RunConfig:
     workers: int = 1
 
     def validate(self):
-        if self.family not in ("ising", "lmg"):
-            raise ConfigError(f"model.family must be ising or lmg, got {self.family!r}")
+        """Check the configuration's own rules; ``plan`` checks the rest."""
         if not self.lengths:
             raise ConfigError("model.L must list at least one system size")
-        if any(length < 2 for length in self.lengths):
-            raise ConfigError("system sizes must be >= 2")
         if self.family == "lmg" and not self.h_fields:
             raise ConfigError("model.h must list at least one field value for lmg")
-        if not all(math.isfinite(x) for x in (self.j_coupling, self.g_field, *self.h_fields)):
-            raise ConfigError("model couplings J, g and h must be finite")
         # a coupling the family does not read would be silently dropped
         if self.family == "ising" and self.h_fields:
             raise ConfigError("model.h is the lmg field; ising takes J and g")
@@ -114,18 +109,14 @@ class RunConfig:
         for name, values in (("model.L", self.lengths), ("model.h", self.h_fields)):
             if len(set(values)) != len(values):
                 raise ConfigError(f"{name} lists a value twice: {list(values)}")
-        grid = (self.tmin, self.tmax, self.tstep, self.effective_delta_t())
-        if not all(math.isfinite(x) for x in grid):
-            raise ConfigError("grid tmin, tmax, tstep and delta_t must be finite")
-        if not (self.tmin > 0 and self.tmax >= self.tmin and self.tstep > 0):
-            raise ConfigError("grid requires 0 < tmin <= tmax and tstep > 0")
-        if self.delta_t is not None and not self.delta_t > 0:
-            raise ConfigError("grid.delta_t must be positive")
+        # the grid size is bounded before the grid is built; BetaGrid owns the rest
+        if not all(math.isfinite(x) for x in (self.tmin, self.tmax, self.tstep)):
+            raise ConfigError("grid tmin, tmax and tstep must be finite")
+        if not (self.tmax >= self.tmin and self.tstep > 0):
+            raise ConfigError("grid requires tmin <= tmax and tstep > 0")
         count = self._temperature_count()
         if not count <= MAX_TEMPERATURES:  # an infinite count too
             raise ConfigError(f"grid has {count} temperatures, more than {MAX_TEMPERATURES}")
-        if self.k_max < 1 or self.d_max < 1:
-            raise ConfigError("lanczos.kmax and lanczos.dmax must be >= 1")
         if not self.outputs:
             raise ConfigError("output.quantities must not be empty")
         unknown = [o for o in self.outputs if o not in KNOWN_OUTPUTS]
@@ -140,36 +131,46 @@ class RunConfig:
         unordered = [frozenset(pair) for pair in self.czz_pairs]
         if len(set(unordered)) != len(unordered):
             raise ConfigError(f"output.czz lists a pair twice: {list(self.czz_pairs)}")
-        for i, j in self.czz_pairs:
-            if i == j:
-                raise ConfigError(f"correlator pair {i}:{j}: sites must differ")
-            if not all(1 <= site <= length for site in (i, j) for length in self.lengths):
-                raise ConfigError(f"correlator pair {i}:{j}: sites must lie in 1..L "
-                                  f"for every L in {list(self.lengths)}")
-        if self.czz_symmetry not in ("none", "spin-flip"):
-            raise ConfigError("czz_symmetry must be none or spin-flip")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        # paths are checked here so that a bad one fails before any run, not after
+        # checked here so that a bad path fails before any run, not after
         if self.out_path and (os.path.isdir(self.out_path)
                               or not os.path.isdir(os.path.dirname(self.out_path) or ".")):
             raise ConfigError(f"output.path: cannot write a file at {self.out_path!r}")
-        if self.cache_dir and os.path.exists(self.cache_dir) and not os.path.isdir(self.cache_dir):
-            raise ConfigError(f"output.cache: {self.cache_dir!r} is not a directory")
+
+    def plan(self):
+        """(BetaGrid, LanczosConfig, points) of the sweep, built before any run.
+
+        Points are (ModelSpec, H, {pair: zz_blocks starts}) in CSV row order. A
+        ValueError from an object's own rule is a ConfigError on its setting.
+        """
+        self.validate()
+        setting = "grid"
+        try:
+            grid = BetaGrid.from_temperatures(self.temperatures(), self.effective_delta_t())
+            setting = "lanczos"
+            lcfg = self.lanczos_config()
+            setting = "model"
+            specs = sorted(self.model_specs(), key=lambda s: (s.length, s.param_text()))
+            points = [(spec, spec.build(), {}) for spec in specs]
+            for spec, h, starts in points:
+                for i, j in self.czz_pairs:
+                    setting = f"output.czz {i}:{j} at {spec.label()}"
+                    starts[i, j] = thermal.zz_blocks(h, i, j, self.czz_symmetry)
+        except ValueError as exc:
+            raise ConfigError(f"{setting}: {exc}") from exc
+        return grid, lcfg, points
 
     def lanczos_config(self):
         return LanczosConfig(self.k_max, self.d_max)
 
     def model_specs(self):
-        specs = []
-        for length in sorted(self.lengths):
-            if self.family == "ising":
-                specs.append(ModelSpec("ising", length,
-                                       j_coupling=self.j_coupling, g_field=self.g_field))
-            else:
-                for h in self.h_fields:
-                    specs.append(ModelSpec("lmg", length, h_field=h))
-        return specs
+        """One ModelSpec per (L, h), L ascending; ``ModelSpec`` checks the family."""
+        if self.family == "lmg":
+            return [ModelSpec("lmg", length, h_field=h)
+                    for length in sorted(self.lengths) for h in self.h_fields]
+        return [ModelSpec(self.family, length, self.j_coupling, self.g_field)
+                for length in sorted(self.lengths)]
 
     def _temperature_count(self):
         """Points of the grid tmin + k*tstep up to tmax; inf if the ratio overflows."""
@@ -221,7 +222,7 @@ _SETTINGS = (
     ("lanczos.kmax", "kmax", "k_max", int, "integer", "maximal Krylov dimension"),
     ("lanczos.dmax", "dmax", "d_max", int, "integer", "maximal bond dimension"),
     ("output.quantities", "outputs", "outputs", lambda t: tuple(_items(t)), "text list",
-     "comma list from s,c,F_T,D_T,Czz"),
+     "comma list from s,c,F_T,D_T,Czz; every base column is written, Czz adds its own"),
     ("output.czz", "czz", "czz_pairs", lambda t: tuple(map(_parse_pair, _items(t))),
      "i:j pair list", "comma list of site pairs i:j"),
     ("output.czz_symmetry", "czz_symmetry", "czz_symmetry", str, "text",
@@ -307,17 +308,16 @@ def _load_cached(path, key):
 def _execute(job):
     """Read one planned run from the cache, or execute (and cache) it.
 
-    Runs in a pool worker or in-process; H is rebuilt from its ModelSpec.
+    Runs in a pool worker or in-process, in an existing cache directory.
     Returns the run and whether it was read from the cache.
     """
-    spec, start, lcfg, cache_dir = job
+    spec, h, start, lcfg, cache_dir = job
     key = _cache_key(spec.label(), start.label, lcfg)
     path = _cache_path(cache_dir, key) if cache_dir else None
     if path and os.path.exists(path):
         return _load_cached(path, key), True
-    run = lanczos.run_lanczos(spec.build(), start, lcfg, spec.label())
+    run = lanczos.run_lanczos(h, start, lcfg, spec.label())
     if path:
-        os.makedirs(cache_dir, exist_ok=True)
         tmp = f"{path}.tmp.{os.getpid()}"
         lanczos.save_run(run, tmp,
                          extra_header={"cache_version": CACHE_VERSION, "cache_key": key})
@@ -335,35 +335,33 @@ class SweepOutcome:
 def run_sweep(cfg):
     """Execute all sweep points of a configuration and write the CSV.
 
-    Three steps. (1) Plan every Lanczos run of the sweep: one identity-start
-    run per sweep point, shared by the whole temperature grid and every
-    observable, plus the ``thermal.zz_blocks`` starts of each correlator,
-    deduplicated across pairs and points by their cache key. (2) Execute each
-    distinct run once, serially or, with ``workers > 1``, on one process pool
-    over runs; cached runs are read instead. (3) Evaluate the observables and
-    check their bounds in-process. ``stats`` counts distinct runs.
+    Three steps. (1) Build the plan, which checks every input, and create the
+    cache directory. (2) Execute each distinct run once: one identity-start run
+    per sweep point, shared by the whole temperature grid and every observable,
+    plus the ``thermal.zz_blocks`` starts of each correlator, deduplicated by
+    cache key; serially or, with ``workers > 1``, on one process pool over
+    runs; cached runs are read instead. (3) Evaluate the observables and check
+    their bounds in-process. ``stats`` counts distinct runs.
     """
-    cfg.validate()
-    lcfg = cfg.lanczos_config()
-    jobs = {}  # cache key -> (spec, start, lcfg, cache_dir)
+    grid, lcfg, planned = cfg.plan()
+    if cfg.cache_dir:
+        try:
+            os.makedirs(cfg.cache_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"output.cache: cannot make a directory at "
+                              f"{cfg.cache_dir!r}: {exc.strerror}") from exc
+    jobs = {}  # cache key -> (spec, H, start, lcfg, cache_dir)
 
-    def plan(spec, start):
+    def job(spec, h, start):
         key = _cache_key(spec.label(), start.label, lcfg)
-        jobs.setdefault(key, (spec, start, lcfg, cfg.cache_dir))
+        jobs.setdefault(key, (spec, h, start, lcfg, cfg.cache_dir))
         return key
 
     points = []  # (spec, identity key, {pair: keys of its runs})
-    for spec in cfg.model_specs():
-        h = spec.build()
-        try:  # the pairs and the mode are validated; only the symmetry check is left
-            blocks = {pair: thermal.zz_blocks(h, *pair, cfg.czz_symmetry)
-                      for pair in cfg.czz_pairs}
-        except ValueError as exc:
-            raise ConfigError(f"output.czz_symmetry {cfg.czz_symmetry} "
-                              f"for {spec.label()}: {exc}") from exc
-        czz = {pair: [plan(spec, start) for start in starts]
-               for pair, starts in blocks.items()}
-        points.append((spec, plan(spec, models.identity_block(spec.length)), czz))
+    for spec, h, starts in planned:
+        czz = {pair: [job(spec, h, start) for start in blocks]
+               for pair, blocks in starts.items()}
+        points.append((spec, job(spec, h, models.identity_block(spec.length)), czz))
 
     if cfg.workers > 1 and len(jobs) > 1:
         with concurrent.futures.ProcessPoolExecutor(
@@ -381,7 +379,6 @@ def run_sweep(cfg):
             stats.projector_runs += 1
     runs = dict(zip(jobs, (run for run, _ in done)))
 
-    grid = BetaGrid.from_temperatures(cfg.temperatures(), cfg.effective_delta_t())
     results = []
     for spec, z_key, czz in points:
         z_run = runs[z_key]
@@ -391,7 +388,6 @@ def run_sweep(cfg):
                 [runs[k] for k in keys], z_run, grid.betas)
         result.check_bounds()
         results.append((spec, result))
-    results.sort(key=lambda item: (item[0].length, item[0].param_text()))
     outcome = SweepOutcome(results, stats)
     if cfg.out_path:
         write_sweep_csv(cfg.out_path, results, cfg.czz_pairs)
@@ -490,12 +486,15 @@ def exact_tc(h):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _cmd_sweep(args):
-    settings = parse_config_file(args.config) if args.config else {}
-    cfg = build_run_config(settings, args)
+def _load_config(args):
+    cfg = build_run_config(parse_config_file(args.config) if args.config else {}, args)
     if cfg.out_path is None:
         raise ConfigError("an output path is required (--out or output.path)")
-    outcome = run_sweep(cfg)
+    return cfg
+
+
+def _cmd_sweep(args):
+    outcome = run_sweep(_load_config(args))
     rows = sum(len(result.temperatures) for _, result in outcome.results)
     print(f"wrote {rows} rows to {outcome.csv_path}")
     print(f"lanczos executions: identity={outcome.stats.identity_runs} "
@@ -504,22 +503,17 @@ def _cmd_sweep(args):
 
 
 def _cmd_exact(args):
-    settings = parse_config_file(args.config) if args.config else {}
-    cfg = build_run_config(settings, args)
-    if cfg.out_path is None:
-        raise ConfigError("an output path is required (--out or output.path)")
+    cfg = _load_config(args)
     if args.guard > mpo.DENSE_GUARD:
         raise ConfigError(f"--guard {args.guard} exceeds the dense-materialization "
                           f"limit {mpo.DENSE_GUARD}")
     if max(cfg.lengths) > args.guard:
         raise ConfigError(f"model.L: L={max(cfg.lengths)} exceeds the dense-oracle "
                           f"guard {args.guard} (see --guard)")
-    grid = BetaGrid.from_temperatures(cfg.temperatures(), cfg.effective_delta_t())
-    results = []
-    for spec in cfg.model_specs():
-        spectrum = oracle.exact_spectrum(spec.build(), guard=args.guard)
-        results.append((spec, oracle.exact_observables(spectrum, grid, cfg.czz_pairs)))
-    results.sort(key=lambda item: (item[0].length, item[0].param_text()))
+    grid, _, planned = cfg.plan()
+    results = [(spec, oracle.exact_observables(oracle.exact_spectrum(h, guard=args.guard),
+                                               grid, cfg.czz_pairs))
+               for spec, h, _ in planned]
     write_sweep_csv(cfg.out_path, results, cfg.czz_pairs)
     rows = sum(len(result.temperatures) for _, result in results)
     print(f"wrote {rows} oracle rows to {cfg.out_path}")

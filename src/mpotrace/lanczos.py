@@ -49,9 +49,9 @@ class LanczosConfig:
 
     def __post_init__(self):
         if self.k_max < 1:
-            raise ValueError("k_max must be >= 1")
+            raise ValueError(f"k_max must be >= 1, got {self.k_max}")
         if self.d_max < 1:
-            raise ValueError("d_max must be >= 1")
+            raise ValueError(f"d_max must be >= 1, got {self.d_max}")
 
 
 @dataclass(frozen=True)

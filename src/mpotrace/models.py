@@ -83,10 +83,10 @@ class ModelSpec:
         if self.family not in ("ising", "lmg"):
             raise ValueError(f"unknown model family {self.family!r}")
         if self.length < 2:
-            raise ValueError("length must be >= 2")
+            raise ValueError(f"length must be >= 2, got L={self.length}")
         for val in (self.j_coupling, self.g_field, self.h_field):
             if not math.isfinite(val):
-                raise ValueError("couplings must be finite")
+                raise ValueError(f"couplings must be finite, got {self.label()}")
 
     def build(self):
         if self.family == "ising":

@@ -53,6 +53,10 @@ class BetaGrid:
             raise ValueError("temperatures must be strictly increasing")
         if not (np.isfinite(self.delta_t) and self.delta_t > 0.0):
             raise ValueError("delta_t must be finite and positive")
+        if not math.isfinite(1.0 / float(t[0])):
+            raise ValueError(f"1/T overflows at T={float(t[0])!r}")
+        if not math.isfinite(float(t[-1]) + float(self.delta_t)):
+            raise ValueError(f"T + delta_t overflows at T={float(t[-1])!r}")
         t.flags.writeable = False
         object.__setattr__(self, "temperatures", t)
         object.__setattr__(self, "delta_t", float(self.delta_t))

@@ -415,12 +415,19 @@ _LONG_SPIN_FLIP = ["--L", "12", "--J", "1", "--czz-symmetry", "spin-flip", "--km
     ["--delta-t", "inf"],  # the partner beta would be 0
     ["--tmax", "inf"],  # an infinite number of temperatures
     ["--tmin", "1e-9", "--tstep", "5e-324"],  # (tmax - tmin) / tstep overflows
+    ["--tmin", "1", "--tmax", "1.000000000000001", "--tstep", "1e-20"],  # T + k * tstep = T
+    ["--tmin", "1e-310", "--tmax", "1e-310", "--tstep", "1"],  # 1/T overflows
+    ["--tmin", "1e308", "--tmax", "1e308", "--tstep", "1", "--delta-t", "1e308"],  # T + delta
+    ["--model", "xy"],  # ModelSpec knows the families
 ], ids=["czz-same-site", "czz-out-of-range", "J-nan", "g-inf", "czz-spin-flip-broken",
         "czz-spin-flip-broken-L12", "reorthogonalize-flag", "breakdown-tol-flag",
         "ising-with-h", "lmg-with-g", "lmg-with-J", "L-repeated", "h-repeated",
         "czz-repeated", "czz-reversed", "czz-without-Czz", "spin-flip-without-Czz",
-        "tstep-inf", "delta-t-inf", "tmax-inf", "tstep-subnormal"])
-def test_main_bad_sweep_input_is_config_error(tmp_path, capsys, flags):
+        "tstep-inf", "delta-t-inf", "tmax-inf", "tstep-subnormal", "tstep-below-ulp",
+        "tmin-subnormal", "partner-T-overflow", "family-unknown"])
+def test_main_bad_sweep_input_is_config_error(tmp_path, capsys, monkeypatch, flags):
+    # every case must fail before the first Lanczos run
+    monkeypatch.setattr(cli, "_execute", lambda job: pytest.fail("a run was started"))
     code = cli.main(["sweep", "--model", "ising", "--L", "4", "--outputs", "s,Czz",
                      "--czz", "1:2", *flags, "--out", str(tmp_path / "x.csv")])
     assert code == 2
@@ -507,13 +514,24 @@ def _ini_sweep(tmp_path, text):
     lambda tmp: ["tc", _csv_file(tmp, _PEAKS_CSV + "lmg,8,h=0.5,0.25,nan\n")],
     lambda tmp: ["tc", _csv_file(tmp, _PEAKS_CSV + "lmg,8,h=0.5,inf,0.5\n")],
     lambda tmp: ["tc", _csv_file(tmp, "model,L,param,T,c\n")],
+    lambda tmp: ["exact", "--model", "ising", "--L", "4", "--tmin", "1",
+                 "--tmax", "1.000000000000001", "--tstep", "1e-20",
+                 "--out", str(tmp / "x.csv")],  # every T is tmin
+    lambda tmp: ["sweep", "--model", "ising", "--L", "4", "--J", "1", "--g", "1",
+                 "--cache", os.path.join(_csv_file(tmp, ""), "sub"),
+                 "--out", str(tmp / "x.csv")],  # created before the first run
+    lambda tmp: ["exact", "--model", "ising", "--L", "4", "--J", "1", "--g", "1",
+                 "--outputs", "s,Czz", "--czz", "1:2", "--czz-symmetry", "spin-flip",
+                 "--out", str(tmp / "x.csv")],  # g*sz breaks the spin flip, as for sweep
 ], ids=["exact-over-guard", "tc-missing-csv", "tc-csv-without-model", "tc-csv-bad-number",
         "inspect-missing-run", "inspect-truncated-run", "ini-repeated-key",
         "ini-no-section-header", "ini-reorthogonalize-key", "sweep-out-dir-missing",
         "sweep-out-is-dir", "sweep-cache-is-file", "exact-guard-above-limit",
         "ini-breakdown-tol-key", "tc-csv-repeated-rows", "tc-csv-nan-value", "tc-csv-inf-T",
-        "tc-csv-no-rows"])
-def test_main_bad_input_file_or_size_is_config_error(tmp_path, capsys, argv):
+        "tc-csv-no-rows", "exact-tstep-below-ulp", "sweep-cache-under-a-file",
+        "exact-czz-spin-flip-broken"])
+def test_main_bad_input_file_or_size_is_config_error(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "_execute", lambda job: pytest.fail("a run was started"))
     assert cli.main(argv(tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and len(err.splitlines()) == 1

@@ -459,5 +459,9 @@ def test_beta_grid_validation():
         BetaGrid(np.array([0.5, 1.0]), np.inf)
     with pytest.raises(ValueError):
         BetaGrid.from_temperatures(np.array([0.5, 0.2]), 0.1)
+    with pytest.raises(ValueError, match="1/T overflows"):
+        BetaGrid(np.array([1e-310, 1.0]), 0.1)
+    with pytest.raises(ValueError, match="T \\+ delta_t overflows"):
+        BetaGrid(np.array([1.0, 1e308]), 1e308)
     grid = BetaGrid.from_temperatures(np.array([0.2, 0.4, 0.6]), 0.2)
     assert np.allclose(grid.temperatures, [0.2, 0.4, 0.6])
