@@ -24,9 +24,9 @@ from .lanczos import LanczosConfig, NumericalError
 from .models import ModelSpec
 from .thermal import BetaGrid
 
-# Cache keys carry only the model label, so a change to what a label builds
-# must bump this.
-CACHE_VERSION = 4
+# Cache keys carry only the model label and the run settings, so a change to
+# what a label builds, or to how a run truncates, must bump this.
+CACHE_VERSION = 5
 
 BASE_COLUMNS = ["model", "L", "param", "T", "logZ", "energy_density", "s", "c", "F_T", "D_T"]
 KNOWN_OUTPUTS = ("s", "c", "F_T", "D_T", "Czz")
@@ -139,17 +139,16 @@ class RunConfig:
             raise ConfigError(f"output.path: cannot write a file at {self.out_path!r}")
 
     def plan(self):
-        """(BetaGrid, LanczosConfig, points) of the sweep, built before any run.
+        """(BetaGrid, points) of the sweep, built before any run.
 
         Points are (ModelSpec, H, {pair: zz_blocks starts}) in CSV row order. A
         ValueError from an object's own rule is a ConfigError on its setting.
+        The Lanczos settings are ``lanczos_config``'s, as only a sweep uses them.
         """
         self.validate()
         setting = "grid"
         try:
             grid = BetaGrid.from_temperatures(self.temperatures(), self.effective_delta_t())
-            setting = "lanczos"
-            lcfg = self.lanczos_config()
             setting = "model"
             specs = sorted(self.model_specs(), key=lambda s: (s.length, s.param_text()))
             points = [(spec, spec.build(), {}) for spec in specs]
@@ -159,10 +158,13 @@ class RunConfig:
                     starts[i, j] = thermal.zz_blocks(h, i, j, self.czz_symmetry)
         except ValueError as exc:
             raise ConfigError(f"{setting}: {exc}") from exc
-        return grid, lcfg, points
+        return grid, points
 
     def lanczos_config(self):
-        return LanczosConfig(self.k_max, self.d_max)
+        try:
+            return LanczosConfig(self.k_max, self.d_max)
+        except ValueError as exc:
+            raise ConfigError(f"lanczos: {exc}") from exc
 
     def model_specs(self):
         """One ModelSpec per (L, h), L ascending; ``ModelSpec`` checks the family."""
@@ -335,15 +337,17 @@ class SweepOutcome:
 def run_sweep(cfg):
     """Execute all sweep points of a configuration and write the CSV.
 
-    Three steps. (1) Build the plan, which checks every input, and create the
-    cache directory. (2) Execute each distinct run once: one identity-start run
-    per sweep point, shared by the whole temperature grid and every observable,
-    plus the ``thermal.zz_blocks`` starts of each correlator, deduplicated by
-    cache key; serially or, with ``workers > 1``, on one process pool over
-    runs; cached runs are read instead. (3) Evaluate the observables and check
-    their bounds in-process. ``stats`` counts distinct runs.
+    Three steps. (1) Build the plan and the Lanczos settings, which check
+    every input, and create the cache directory. (2) Execute each distinct
+    run once: one identity-start run per sweep point, shared by the whole
+    temperature grid and every observable, plus the ``thermal.zz_blocks``
+    starts of each correlator, deduplicated by cache key; serially or, with
+    ``workers > 1``, on one process pool over runs; cached runs are read
+    instead. (3) Evaluate the observables and check their bounds in-process.
+    ``stats`` counts distinct runs.
     """
-    grid, lcfg, planned = cfg.plan()
+    grid, planned = cfg.plan()
+    lcfg = cfg.lanczos_config()
     if cfg.cache_dir:
         try:
             os.makedirs(cfg.cache_dir, exist_ok=True)
@@ -510,7 +514,7 @@ def _cmd_exact(args):
     if max(cfg.lengths) > args.guard:
         raise ConfigError(f"model.L: L={max(cfg.lengths)} exceeds the dense-oracle "
                           f"guard {args.guard} (see --guard)")
-    grid, _, planned = cfg.plan()
+    grid, planned = cfg.plan()
     results = [(spec, oracle.exact_observables(oracle.exact_spectrum(h, guard=args.guard),
                                                grid, cfg.czz_pairs))
                for spec, h, _ in planned]

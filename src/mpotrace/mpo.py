@@ -362,10 +362,15 @@ def compress(u, d_max):
     """Cap every internal bond at ``d_max``.
 
     A left-to-right QR sweep canonicalizes the chain, then a right-to-left SVD
-    sweep truncates each bond to at most ``d_max`` retained singular values
-    (numerically zero ones are dropped as well). Because of the
-    canonicalization, each truncation is the bond-wise optimal one in
-    Frobenius norm; the squared discarded weight is reported per bond. Both
+    sweep truncates each bond to at most ``d_max`` retained singular values.
+    Below the cap it also drops the tail that holds at most
+    ``tensor.DISCARD_EPS`` (machine epsilon) of the bond's squared weight
+    (``tensor.kept_rank``), a relative Frobenius error of at most about
+    1.5e-8 per bond on top of the cap's own truncation; on a bond split into
+    sectors, where each block and then their union apply the rule, at most
+    twice that weight. Because of the canonicalization, each truncation is
+    the bond-wise optimal one in Frobenius norm; the squared discarded
+    weight, that tail included, is reported per bond. Both
     sweeps reach LAPACK through numpy (``np.linalg.qr`` in reduced mode,
     ``tensor.truncated_svd``): importing scipy would more than double every
     command's cold start, so it loads only if gesdd fails and the SVD falls

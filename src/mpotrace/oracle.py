@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import models, mpo
+from . import mpo
 from .thermal import ThermalSweepResult
 
 # 2^12 = 4096-dimensional eigensolve is the default ceiling.
@@ -49,18 +49,19 @@ def _boltzmann(evals, beta):
     return p / p.sum()
 
 
-def _site_operator(length, site, op):
-    m = np.array([[1.0]], dtype=complex)
-    for k in range(1, length + 1):
-        m = np.kron(m, op if k == site else np.eye(2))
-    return m
+def _sz_diagonal(length, site):
+    """<k|sz_site|k> = +-1 in ``mpo.to_dense``'s basis, where site 1 is the top bit."""
+    bits = (np.arange(2 ** length) >> (length - site)) & 1
+    return 1.0 - 2.0 * bits
 
 
 def exact_observables(spectrum, grid, czz_sites=()):
     """Evaluate the thermal sweep by direct eigenvalue sums.
 
     ``czz_sites`` is an iterable of (i, j) pairs (1-based) for connected
-    sz-sz correlators, which use the eigenvectors.
+    sz-sz correlators, which use the eigenvectors. sz is diagonal in the
+    product basis, so <n|sz_i|n> = sum_k |v_kn|^2 z_i(k), one matrix-vector
+    product per operator in place of a dense operator product.
     """
     evals = spectrum.eigenvalues
     length = spectrum.length
@@ -87,13 +88,13 @@ def exact_observables(spectrum, grid, czz_sites=()):
                                         - np.exp(-b1 * evals - lz1))))
     czz = {}
     if czz_sites:
-        v = spectrum.eigenvectors
+        occupation = np.abs(spectrum.eigenvectors) ** 2  # |v_kn|^2, k basis, n eigenstate
         for (i, j) in czz_sites:
-            zi = _site_operator(length, i, models.SZ)
-            zj = _site_operator(length, j, models.SZ)
-            d_zz = np.einsum("ij,ij->j", v.conj(), (zi @ zj) @ v).real
-            d_i = np.einsum("ij,ij->j", v.conj(), zi @ v).real
-            d_j = np.einsum("ij,ij->j", v.conj(), zj @ v).real
+            zi = _sz_diagonal(length, i)
+            zj = _sz_diagonal(length, j)
+            d_zz = (zi * zj) @ occupation
+            d_i = zi @ occupation
+            d_j = zj @ occupation
             vals = np.empty(n_t)
             for idx, beta in enumerate(betas):
                 p = _boltzmann(evals, beta)

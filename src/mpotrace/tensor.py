@@ -4,6 +4,14 @@ Thin deterministic wrappers around numpy/LAPACK with the truncation and
 tolerance conventions used by the MPO layer. All functions are pure; inputs
 are never mutated.
 
+Truncation keeps singular values by discarded weight (``kept_rank``): the
+fewest leading values, up to a cap, whose dropped tail holds at most
+``DISCARD_EPS`` (machine epsilon) of the squared Frobenius norm. Beyond what
+the cap cuts, a factorisation then loses at most sqrt(DISCARD_EPS), about
+1.5e-8, of its matrix's norm in relative Frobenius error. Such a tail carries
+no accuracy, yet every value kept costs gesdd and QR work downstream
+(Schollwoeck, Ann. Phys. 326, 96 (2011)).
+
 LAPACK is reached through numpy alone. scipy is imported only when gesdd fails
 to converge and ``truncated_svd`` falls back to gesvd: importing it costs more
 than twice numpy's own import, which every command and pool worker would pay
@@ -17,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Singular values below RANK_TOL * sigma_max never count toward the rank of a
-# matrix; keeps isometry checks clean in the presence of roundoff.
-RANK_TOL = 1e-14
+# A truncation may drop a tail of singular values that holds at most this
+# share of sum(s^2): one rounding unit of the weight (machine epsilon).
+DISCARD_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -35,11 +43,14 @@ class SvdResult:
 def truncated_svd(m, max_rank):
     """SVD of a matrix keeping at most ``max_rank`` singular triplets.
 
-    Numerically zero singular values (below RANK_TOL * sigma_max) are dropped
-    as well; at least one triplet is always kept so downstream bond extents
-    stay >= 1. The returned ``u`` and ``vh`` own their memory, so an MPO
-    site built from one does not keep the discarded triplets alive. A matrix
-    holding nan or inf raises ArithmeticError.
+    Below the cap, ``kept_rank`` also drops the tail that holds at most
+    DISCARD_EPS of sum(s^2), so the kept triplets reproduce the matrix to
+    sqrt(DISCARD_EPS) of its norm beyond the cap's own truncation. At least
+    one triplet is always kept so downstream bond extents stay >= 1, and
+    every dropped value counts in ``discarded_weight``. The returned ``u``
+    and ``vh`` own their memory, so an MPO site built from one does not keep
+    the discarded triplets alive. A matrix holding nan or inf raises
+    ArithmeticError.
     """
     if max_rank < 1:
         raise ValueError("max_rank must be >= 1")
@@ -69,10 +80,17 @@ def truncated_svd(m, max_rank):
 def kept_rank(s, max_rank):
     """How many of the descending singular values ``s`` a truncation keeps.
 
-    At most ``max_rank``, none below RANK_TOL * s[0], and at least one.
+    The fewest leading values, at most ``max_rank`` and at least one, whose
+    dropped tail holds sum_{j>=k} s_j^2 <= DISCARD_EPS * sum(s^2). The weights
+    are (s/s[0])^2, so a matrix of large norm cannot overflow them.
     """
-    rank = int(np.count_nonzero(s > RANK_TOL * s[0])) if s[0] > 0.0 else 0
-    return min(int(max_rank), max(rank, 1), s.size)
+    s = np.asarray(s)
+    if not s[0] > 0.0:
+        return 1
+    w = (s / s[0]) ** 2
+    tail = np.cumsum(w[::-1])[::-1]  # tail[k] = sum(w[k:]), summed from the smallest up
+    rank = int(np.count_nonzero(tail > DISCARD_EPS * tail[0]))
+    return min(int(max_rank), max(rank, 1))
 
 
 def symtridiag_eig(alpha, beta):

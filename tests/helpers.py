@@ -141,6 +141,27 @@ def raising_chain_mpo(length):
     return _nearest_neighbour_chain(length, [SP], [SX], SZ)
 
 
+def reference_czz(spectrum, betas, pairs):
+    """{pair: C_zz per beta} from dense sz_i, sz_j and sz_i sz_j on the eigenvectors.
+
+    The reference for the oracle, which reads sz off the product-basis diagonal.
+    """
+    evals, v, length = spectrum.eigenvalues, spectrum.eigenvectors, spectrum.length
+    out = {}
+    for i, j in pairs:
+        zi, zj = site_op(length, i, SZ), site_op(length, j, SZ)
+        d_zz = np.einsum("ij,ij->j", v.conj(), (zi @ zj) @ v).real
+        d_i = np.einsum("ij,ij->j", v.conj(), zi @ v).real
+        d_j = np.einsum("ij,ij->j", v.conj(), zj @ v).real
+        vals = []
+        for beta in betas:
+            p = np.exp(-beta * (evals - evals[0]))
+            p /= p.sum()
+            vals.append(p @ d_zz - (p @ d_i) * (p @ d_j))
+        out[i, j] = np.array(vals)
+    return out
+
+
 def reference_gibbs(run, beta):
     """(log Z, p) of e^{-beta H} on a run's Gauss rule, one beta at a time.
 

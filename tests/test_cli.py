@@ -419,12 +419,14 @@ _LONG_SPIN_FLIP = ["--L", "12", "--J", "1", "--czz-symmetry", "spin-flip", "--km
     ["--tmin", "1e-310", "--tmax", "1e-310", "--tstep", "1"],  # 1/T overflows
     ["--tmin", "1e308", "--tmax", "1e308", "--tstep", "1", "--delta-t", "1e308"],  # T + delta
     ["--model", "xy"],  # ModelSpec knows the families
+    ["--kmax", "0"],  # LanczosConfig's rule, checked before the first run
+    ["--dmax", "0"],
 ], ids=["czz-same-site", "czz-out-of-range", "J-nan", "g-inf", "czz-spin-flip-broken",
         "czz-spin-flip-broken-L12", "reorthogonalize-flag", "breakdown-tol-flag",
         "ising-with-h", "lmg-with-g", "lmg-with-J", "L-repeated", "h-repeated",
         "czz-repeated", "czz-reversed", "czz-without-Czz", "spin-flip-without-Czz",
         "tstep-inf", "delta-t-inf", "tmax-inf", "tstep-subnormal", "tstep-below-ulp",
-        "tmin-subnormal", "partner-T-overflow", "family-unknown"])
+        "tmin-subnormal", "partner-T-overflow", "family-unknown", "kmax-zero", "dmax-zero"])
 def test_main_bad_sweep_input_is_config_error(tmp_path, capsys, monkeypatch, flags):
     # every case must fail before the first Lanczos run
     monkeypatch.setattr(cli, "_execute", lambda job: pytest.fail("a run was started"))
@@ -584,6 +586,15 @@ def test_exact_subcommand_agrees_with_sweep(tmp_path):
         assert cells_got[:3] == cells_want[:3]
         for a, b in zip(cells_got[3:], cells_want[3:]):
             assert float(a) == pytest.approx(float(b), rel=1e-6, abs=1e-9)
+
+
+@pytest.mark.parametrize("flag", ["--kmax", "--dmax"])
+def test_exact_ignores_the_lanczos_settings(tmp_path, flag):
+    base = ["--model", "ising", "--L", "4", "--J", "1", "--g", "1",
+            "--tmin", "0.5", "--tmax", "1.0", "--tstep", "0.5"]
+    assert cli.main(["exact", *base, "--out", str(tmp_path / "a.csv")]) == 0
+    assert cli.main(["exact", *base, flag, "0", "--out", str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_tc_subcommand(tmp_path, capsys):

@@ -3,7 +3,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import dense_compress, dense_ising, dense_lmg, random_graded_mpo, random_mpo
+from helpers import (
+    ID2,
+    SX,
+    SY,
+    SZ,
+    dense_compress,
+    dense_ising,
+    dense_lmg,
+    random_graded_mpo,
+    random_mpo,
+)
 from mpotrace import (
     Mpo,
     add,
@@ -334,7 +344,8 @@ def _assert_matches_reference(u, d_max, out, report):
 
 
 def _power(h, k):
-    """h^k, kept exact by compressions that only drop numerical zeros."""
+    """h^k, through compressions whose cap never binds: each drops only a tail
+    below machine epsilon of its bond's weight."""
     out = h
     for _ in range(k - 1):
         out, _ = compress(multiply(h, out)[0], 10 ** 6)
@@ -372,6 +383,40 @@ def test_compress_split_matches_reference(graded_inputs, name, monkeypatch):
     _assert_matches_reference(u, d_max, out, report)
     assert report.total_discarded > 1e-12 * frobenius_norm(u) ** 2  # the cap truncates
     assert n_svd > u.length - 1  # bonds split into two blocks
+
+
+def _schmidt_pair(values):
+    """Two-site MPO sum_k s_k P_k (x) P_k over the Paulis I, Z, X, Y.
+
+    Each P_k (x) P_k / 2 has unit norm and they are orthonormal, so the one
+    bond's singular values are ``values``. I and Z are even, X and Y odd: the
+    bond splits into two sectors of two values each.
+    """
+    paulis = np.array([ID2, SZ, SX, SY])
+    left = (np.asarray(values)[:, None, None] * paulis / np.sqrt(2.0)).transpose(1, 2, 0)
+    right = paulis / np.sqrt(2.0)
+    return Mpo([left[None], right[..., None]])
+
+
+def test_compress_drops_a_planted_tail_below_eps_and_reports_it(monkeypatch):
+    bulk = np.array([1.0, 0.5, 0.3])
+    tail = np.sqrt(1e-3 * tensor.DISCARD_EPS * np.sum(bulk ** 2))  # held by Y (x) Y, odd
+    u = _schmidt_pair(np.append(bulk, tail))
+    assert mpo._bond_parities(u.tensors) is not None
+    out, report, n_svd = _counted_compress(u, 32, monkeypatch)
+    assert n_svd == 2  # one SVD per sector
+    assert out.bond_dims == [3]
+    assert report.discarded_weights[0] == pytest.approx(tail ** 2, rel=1e-5)
+    kept = to_dense(_schmidt_pair(np.append(bulk, 0.0)))
+    assert np.linalg.norm(to_dense(out) - kept) <= 1e-14
+
+
+def test_merged_keep_applies_the_rule_to_both_sectors_at_once():
+    # each tail holds 1e-18 of the union's weight, yet most of its own sector's
+    even, odd = np.array([1.0]), np.array([1e-8, 1e-9])
+    assert tensor.kept_rank(odd, 60) == 2
+    assert list(mpo._merged_keep([even, odd], 60)) == [1, 0]
+    assert list(mpo._merged_keep([np.array([3.0, 2.0, 1.0]), np.array([2.5, 0.5])], 3)) == [2, 1]
 
 
 def test_compressed_graded_chain_splits_again(monkeypatch):

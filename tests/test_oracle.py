@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from helpers import SZ, dense_lmg
+from helpers import SZ, dense_lmg, reference_czz
 from mpotrace import (
     BetaGrid,
     Mpo,
+    add,
     exact_observables,
     exact_spectrum,
     identity_mpo,
@@ -85,3 +86,23 @@ def test_correlators_match_direct_sums():
         want = np.trace(rho @ zi @ zj).real - \
             np.trace(rho @ zi).real * np.trace(rho @ zj).real
         assert result.czz[(1, 3)][idx] == pytest.approx(want, abs=1e-10)
+
+
+def _ising_with_a_field_on_site_1(length):
+    """Ising plus 0.5 sz_1: no reflection maps site i to L+1-i, so the bit order shows."""
+    field = [np.eye(2).reshape(1, 2, 2, 1)] * length
+    field[0] = 0.5 * np.array(SZ).reshape(1, 2, 2, 1)
+    return add(ising_mpo(length, 1.0, 0.7), Mpo(field))[0]
+
+
+@pytest.mark.parametrize("length", [6, 7])
+@pytest.mark.parametrize("family", ["ising", "lmg"])
+def test_correlators_from_the_sz_diagonal_match_dense_operators(family, length):
+    h = _ising_with_a_field_on_site_1(length) if family == "ising" else lmg_mpo(length, 0.3)
+    spec = exact_spectrum(h)
+    grid = BetaGrid.from_temperatures(np.array([0.1, 0.5, 2.0]), delta_t=0.1)
+    pairs = [(1, length), (2, 3), (length - 1, 1)]
+    result = exact_observables(spec, grid, czz_sites=pairs)
+    want = reference_czz(spec, grid.betas, pairs)
+    for pair in pairs:
+        np.testing.assert_allclose(result.czz[pair], want[pair], rtol=0, atol=1e-13)

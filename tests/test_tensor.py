@@ -40,6 +40,32 @@ def test_truncated_svd_zero_matrix_keeps_one_triplet():
     assert res.s[0] == 0.0
 
 
+def test_kept_rank_drops_a_value_of_negligible_weight():
+    # 1e-9 is far above any per-value rank tolerance, but its weight is 1e-18 of the total
+    assert tensor.kept_rank(np.array([1.0, 1e-9]), 5) == 1
+    assert tensor.kept_rank(np.array([1.0, 1e-7]), 5) == 2
+
+
+@pytest.mark.parametrize("share, kept", [(0.5, 3), (2.0, 4)])
+def test_kept_rank_bounds_the_dropped_tail_by_eps_of_the_weight(share, kept):
+    bulk = np.array([1.0, 0.6, 0.3])
+    weight = np.sum(bulk ** 2)
+    # a fourth value holding share * eps of sum(s^2), the tail included
+    tail = np.sqrt(share * tensor.DISCARD_EPS * weight / (1.0 - share * tensor.DISCARD_EPS))
+    s = np.append(bulk, tail)
+    assert tail ** 2 == pytest.approx(share * tensor.DISCARD_EPS * np.sum(s ** 2), rel=1e-12)
+    assert tensor.kept_rank(s, 10) == kept
+
+
+def test_truncated_svd_of_a_large_norm_matrix_does_not_overflow():
+    rng = np.random.default_rng(3)
+    m = rng.standard_normal((6, 4))
+    with np.errstate(over="raise"):
+        res = tensor.truncated_svd(1e200 * m, 4)
+    np.testing.assert_allclose(res.s, 1e200 * np.linalg.svd(m, compute_uv=False), rtol=1e-12)
+    assert res.discarded_weight == 0.0
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_truncated_svd_parseval(seed):
     rng = np.random.default_rng(seed)
@@ -64,7 +90,7 @@ def test_truncated_svd_gesvd_fallback_matches_scipy(monkeypatch, rank, max_rank)
 
     monkeypatch.setattr(tensor.np.linalg, "svd", gesdd_fails)
     res = tensor.truncated_svd(m, max_rank)
-    k = min(rank, max_rank)  # the keep rule: the cap, and no numerically zero value
+    k = min(rank, max_rank)  # the keep rule: the cap, and no value of negligible weight
     assert res.s.size == k == tensor.kept_rank(s_ref, max_rank)
     assert res.u.shape == (30, k) and res.vh.shape == (k, 20)
     np.testing.assert_allclose(res.s, s_ref[:k], rtol=1e-12)
