@@ -25,7 +25,6 @@ from .models import (
     ising_mpo,
     lmg_mpo,
     projector_block,
-    zz_decomposition,
 )
 from .lanczos import (
     LanczosConfig,

@@ -340,7 +340,7 @@ def run_sweep(cfg):
     Three steps. (1) Build the plan and the Lanczos settings, which check
     every input, and create the cache directory. (2) Execute each distinct
     run once: one identity-start run per sweep point, shared by the whole
-    temperature grid and every observable, plus the ``thermal.zz_blocks``
+    temperature grid and every base observable, plus the ``thermal.zz_blocks``
     starts of each correlator, deduplicated by cache key; serially or, with
     ``workers > 1``, on one process pool over runs; cached runs are read
     instead. (3) Evaluate the observables and check their bounds in-process.
@@ -385,11 +385,9 @@ def run_sweep(cfg):
 
     results = []
     for spec, z_key, czz in points:
-        z_run = runs[z_key]
-        result = thermal.sweep_observables(z_run, grid, spec.length)
+        result = thermal.sweep_observables(runs[z_key], grid, spec.length)
         for pair, keys in czz.items():
-            result.czz[pair] = thermal.zz_from_runs(
-                [runs[k] for k in keys], z_run, grid.betas)
+            result.czz[pair] = thermal.zz_from_runs([runs[k] for k in keys], grid.betas)
         result.check_bounds()
         results.append((spec, result))
     outcome = SweepOutcome(results, stats)

@@ -24,8 +24,6 @@ def _open_chain(bulk, length):
     """Open-boundary MPO from a square transfer block: first row / last column."""
     first = bulk[0:1]
     last = bulk[:, :, :, -1:]
-    if length == 2:
-        return Mpo([first, last])
     return Mpo([first] + [bulk] * (length - 2) + [last])
 
 
@@ -142,39 +140,3 @@ def projector_block(length, sites):
     label = "*".join(f"P{s}[{i}]" for i, s in sorted(assignment.items())) or "identity"
     return StartingBlock(Mpo(tensors), label)
 
-
-def zz_decomposition(length, i, j):
-    """Positive and negative projector parts of sz_i sz_j (identity elsewhere).
-
-    Both parts are projectors (hence their own square roots) with MPO bond
-    dimension 2: the aligned part P0P0 + P1P1 and the anti-aligned part
-    P1P0 + P0P1; their difference is sz_i sz_j.
-    """
-    if not 1 <= i < j <= length:
-        raise ValueError("need 1 <= i < j <= length")
-
-    def block(aligned):
-        tensors = []
-        for k in range(1, length + 1):
-            if k < i or k > j:
-                tensors.append(ID2.reshape(1, 2, 2, 1))
-            elif k == i:
-                t = np.zeros((1, 2, 2, 2))
-                t[0, :, :, 0] = P0
-                t[0, :, :, 1] = P1
-                tensors.append(t)
-            elif k == j:
-                t = np.zeros((2, 2, 2, 1))
-                t[0, :, :, 0] = P0 if aligned else P1
-                t[1, :, :, 0] = P1 if aligned else P0
-                tensors.append(t)
-            else:
-                t = np.zeros((2, 2, 2, 2))
-                t[0, :, :, 0] = ID2
-                t[1, :, :, 1] = ID2
-                tensors.append(t)
-        return Mpo(tensors)
-
-    pos = StartingBlock(block(True), f"P0[{i}]P0[{j}]+P1[{i}]P1[{j}]")
-    neg = StartingBlock(block(False), f"P1[{i}]P0[{j}]+P0[{i}]P1[{j}]")
-    return pos, neg

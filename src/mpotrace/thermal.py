@@ -14,9 +14,10 @@ the midpoint, for F_T = Z(mid) / sqrt(Z Z') and D_T = sum_j |p_j - p'_j| with
 the same p. So a sweep point costs 3 evaluations per temperature.
 ``partition_traces``, ``pair_observables`` and ``sweep_observables`` are its
 three entry points. The ratios Z_p / Z behind expectations and sz
-correlators take log Z of each run from it too; a correlator's log Z of the
-identity run is taken once per beta for all its parts. ``trace_norm`` is the
-one functional here that is not thermal.
+correlators take log Z of each run from it too. An expectation divides by
+the identity run's Z. A correlator needs no identity run: its four product
+projectors P_a[i] P_b[j] sum to the identity, so their own Z_ab sum to Z.
+``trace_norm`` is the one functional here that is not thermal.
 """
 
 from __future__ import annotations
@@ -192,22 +193,19 @@ def trace_norm(run):
     return float(np.dot(run.quadrature.weights, np.sqrt(clamped)))
 
 
+def _require_one_model(runs):
+    """Raise unless every run that names its Hamiltonian names the same one."""
+    labels = sorted({run.model_label for run in runs if run.model_label})
+    if len(labels) > 1:
+        raise ValueError(f"mismatched Hamiltonians: {labels[0]!r} vs {labels[1]!r}")
+
+
 def _z_log_z(z_run, runs, betas):
     """log Z of the identity-start ``z_run`` per beta, once every run in
     ``runs`` is checked to be of the same Hamiltonian."""
     _require_identity_start(z_run)
-    for run in runs:
-        if run.model_label and z_run.model_label and run.model_label != z_run.model_label:
-            raise ValueError(
-                f"mismatched Hamiltonians: {run.model_label!r} vs {z_run.model_label!r}"
-            )
+    _require_one_model([z_run, *runs])
     return _per_beta(z_run, betas)[0]
-
-
-def _part_sum(parts, log_z, betas):
-    """sum_p sign_p exp(log Z_p - log Z) per beta, with log Z_p from each part's run."""
-    return sum((sign * np.exp(_per_beta(part, betas)[0] - log_z) for sign, part in parts),
-               np.zeros(betas.size))
 
 
 def expectation(parts, z_run, betas):
@@ -219,7 +217,9 @@ def expectation(parts, z_run, betas):
     its own run.
     """
     b = _as_betas(betas)
-    return _part_sum(parts, _z_log_z(z_run, [part for _, part in parts], b), b)
+    log_z = _z_log_z(z_run, [part for _, part in parts], b)
+    return sum((sign * np.exp(_per_beta(part, b)[0] - log_z) for sign, part in parts),
+               np.zeros(b.size))
 
 
 def _spin_flip_defect(h):
@@ -233,14 +233,13 @@ def _spin_flip_defect(h):
 
 
 def zz_blocks(h, i, j, symmetry="none"):
-    """Starting blocks whose runs on ``h`` give C_zz(i, j) by ``zz_from_runs``.
+    """The four starting blocks P_a[i] P_b[j] whose runs on ``h`` give C_zz(i, j)
+    by ``zz_from_runs``, in the order ab = 00, 01, 10, 11; each has bond 1.
 
-    Returned as consecutive (positive, negative) part pairs, each pair one
-    expectation value. ``symmetry="spin-flip"`` checks, at any L, that H
-    commutes with the global spin flip X (|H - XHX| <= 1e-10 |H|), which
-    makes <sz_i> vanish and halves the runs: one pair, P0P0 and P1P0, with
-    <sz_i sz_j> = 2(<P0P0> - <P1P0>). Otherwise three pairs: the projector
-    decomposition of sz_i sz_j, then of sz_i and of sz_j.
+    ``symmetry="spin-flip"`` checks, at any L, that H commutes with the global
+    spin flip X (|H - XHX| <= 1e-10 |H|). X maps P11 onto P00 and P01 onto P10,
+    so the blocks are P00, P10, P10, P00, and a planner that dedupes by label
+    runs two of them.
 
     For the shipped families X commutes with H only at g = 0 (Ising) or
     h = 0 (LMG). There H is diagonal in the sx basis, so C_zz vanishes
@@ -255,43 +254,43 @@ def zz_blocks(h, i, j, symmetry="none"):
         i, j = j, i
     if symmetry not in ("none", "spin-flip"):
         raise ValueError(f"unknown symmetry mode {symmetry!r}")
+    states = [(0, 0), (0, 1), (1, 0), (1, 1)]
     if symmetry == "spin-flip":
         if not _spin_flip_defect(h) <= 1e-10:
             raise ValueError("Hamiltonian does not commute with the global spin flip")
-        return [models.projector_block(length, [(i, 0), (j, 0)]),
-                models.projector_block(length, [(i, 1), (j, 0)])]
-    blocks = list(models.zz_decomposition(length, i, j))
-    for site in (i, j):
-        blocks += [models.projector_block(length, [(site, 0)]),
-                   models.projector_block(length, [(site, 1)])]
-    return blocks
+        states = [(0, 0), (1, 0), (1, 0), (0, 0)]
+    return [models.projector_block(length, [(i, a), (j, b)]) for a, b in states]
 
 
-def zz_from_runs(runs, z_run, betas):
-    """C_zz per beta from the runs of ``zz_blocks``' blocks, in its order.
+def zz_from_runs(runs, betas):
+    """C_zz per beta from the runs of ``zz_blocks``' four blocks, in its order.
 
-    Every part pair is an expectation over the same log Z, taken once per beta.
+    The blocks sum to the identity, so Z = sum_ab Z_ab, and for two +-1 spins
+    C_zz = 4 (Z00 Z11 - Z01 Z10) / Z^2. Each log Z_ab is taken once per beta
+    and log Z in the log domain, so every run is normalised by the same sum
+    of its own partners rather than by another run's Z.
     """
     b = _as_betas(betas)
-    log_z = _z_log_z(z_run, runs, b)
-    parts = [_part_sum([(1.0, pos), (-1.0, neg)], log_z, b)
-             for pos, neg in zip(runs[::2], runs[1::2])]
-    if len(parts) == 1:  # spin-flip: <sz_i> = 0
-        return 2.0 * parts[0]
-    zz, z_i, z_j = parts
-    return zz - z_i * z_j
+    _require_one_model(runs)
+    l00, l01, l10, l11 = (_per_beta(run, b)[0] for run in runs)
+    top = np.maximum(np.maximum(l00, l01), np.maximum(l10, l11))
+    log_z = top + np.log(np.exp(l00 - top) + np.exp(l01 - top)
+                         + np.exp(l10 - top) + np.exp(l11 - top))
+    return 4.0 * (np.exp(l00 + l11 - 2.0 * log_z) - np.exp(l01 + l10 - 2.0 * log_z))
 
 
 def correlation_zz(h, i, j, betas, cfg, symmetry="none"):
     """Connected correlator C_zz(i,j) = <sz_i sz_j> - <sz_i><sz_j>.
 
-    Runs the identity start and every block of ``zz_blocks`` afresh; a sweep
-    shares these runs through ``cli.run_sweep`` instead.
+    Runs each distinct block of ``zz_blocks`` once, afresh; a sweep shares
+    these runs through ``cli.run_sweep`` instead.
     """
     blocks = zz_blocks(h, i, j, symmetry)
-    z_run = lanczos.run_lanczos(h, models.identity_block(h.length), cfg)
-    runs = [lanczos.run_lanczos(h, block, cfg) for block in blocks]
-    return zz_from_runs(runs, z_run, betas)
+    runs = {}
+    for block in blocks:
+        if block.label not in runs:
+            runs[block.label] = lanczos.run_lanczos(h, block, cfg)
+    return zz_from_runs([runs[block.label] for block in blocks], betas)
 
 
 @dataclass

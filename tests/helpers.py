@@ -221,11 +221,15 @@ def reference_expectation(parts, z_run, betas):
     return out
 
 
-def reference_zz_from_runs(runs, z_run, betas):
-    """C_zz per beta from the runs of ``thermal.zz_blocks``' blocks, in its order."""
-    parts = [reference_expectation([(1.0, pos), (-1.0, neg)], z_run, betas)
-             for pos, neg in zip(runs[::2], runs[1::2])]
-    if len(parts) == 1:
-        return 2.0 * parts[0]
-    zz, z_i, z_j = parts
-    return zz - z_i * z_j
+def reference_zz_from_runs(runs, betas):
+    """C_zz per beta from the runs of ``thermal.zz_blocks``' four blocks, in its
+    order: 4 (Z00 Z11 - Z01 Z10) / Z^2 with Z = sum_ab Z_ab, one beta at a time."""
+    b = np.atleast_1d(np.asarray(betas, dtype=float))
+    out = np.empty(b.size)
+    for idx, beta in enumerate(b):
+        l00, l01, l10, l11 = (reference_gibbs(run, beta)[0] for run in runs)
+        top = max(l00, l01, l10, l11)
+        log_z = top + np.log(np.exp(l00 - top) + np.exp(l01 - top)
+                             + np.exp(l10 - top) + np.exp(l11 - top))
+        out[idx] = 4.0 * (np.exp(l00 + l11 - 2.0 * log_z) - np.exp(l01 + l10 - 2.0 * log_z))
+    return out

@@ -560,12 +560,12 @@ def test_run_sweep_plans_distinct_runs(tmp_path):
                             k_max=12, out_path=str(tmp_path / out), cache_dir=cache)
 
     cold = run_sweep(config("cold.csv"))
-    # one identity run; P0/P1 on site 1 are shared by both pairs: 2 * 2 + 3 * 2
-    assert (cold.stats.identity_runs, cold.stats.projector_runs) == (1, 10)
+    # one identity run, and the four projectors P_a[i] P_b[j] of each pair
+    assert (cold.stats.identity_runs, cold.stats.projector_runs) == (1, 8)
     assert cold.stats.cache_hits == 0
     warm = run_sweep(config("warm.csv"))
     assert (warm.stats.identity_runs, warm.stats.projector_runs) == (0, 0)
-    assert warm.stats.cache_hits == 11
+    assert warm.stats.cache_hits == 9
     assert (tmp_path / "cold.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()
 
 

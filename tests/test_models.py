@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import SX, SZ, dense_ising, dense_lmg, kron_chain
+from helpers import SX, SZ, dense_ising, dense_lmg
 from mpotrace import (
     ModelSpec,
     add,
@@ -12,7 +12,6 @@ from mpotrace import (
     scale,
     to_dense,
     trace,
-    zz_decomposition,
 )
 
 
@@ -108,44 +107,11 @@ def test_projector_block_errors():
         projector_block(3, [(2, 7)])
 
 
-def test_zz_decomposition_difference():
-    pos, neg = zz_decomposition(2, 1, 2)
-    diff, _ = add(pos.mpo, scale(-1.0, neg.mpo))
-    assert np.allclose(to_dense(diff), np.diag([1.0, -1.0, -1.0, 1.0]))
-
-
-def test_zz_decomposition_projectors():
-    pos, neg = zz_decomposition(3, 1, 3)
-    for block in (pos, neg):
-        dense = to_dense(block.mpo)
-        assert np.allclose(dense @ dense, dense)
-        assert trace(block.mpo) == pytest.approx(4.0)
-        assert block.mpo.max_bond <= 2
-
-
-def test_zz_decomposition_matches_dense_product():
-    length = 5
-    pos, neg = zz_decomposition(length, 2, 4)
-    diff, _ = add(pos.mpo, scale(-1.0, neg.mpo))
-    from helpers import site_op
-    expected = site_op(length, 2, SZ) @ site_op(length, 4, SZ)
-    assert np.linalg.norm(to_dense(diff) - expected) <= 1e-12 * 2 ** length
-
-
 def test_single_site_z_decomposition():
     p0 = projector_block(2, [(1, 0)])
     p1 = projector_block(2, [(1, 1)])
     diff, _ = add(p0.mpo, scale(-1.0, p1.mpo))
     assert np.allclose(to_dense(diff), np.diag([1.0, 1.0, -1.0, -1.0]))
-
-
-def test_zz_decomposition_errors():
-    with pytest.raises(ValueError):
-        zz_decomposition(4, 3, 3)
-    with pytest.raises(ValueError):
-        zz_decomposition(4, 0, 2)
-    with pytest.raises(ValueError):
-        zz_decomposition(4, 2, 5)
 
 
 def test_model_spec_build_and_label():

@@ -30,9 +30,9 @@ from mpotrace import (
     scale,
     to_dense,
     trace,
-    zz_decomposition,
 )
-from mpotrace import LanczosConfig, identity_block, mpo, run_lanczos, tensor, zz_blocks
+from mpotrace import (LanczosConfig, identity_block, mpo, projector_block, run_lanczos, tensor,
+                      zz_blocks)
 
 
 def test_identity_dense():
@@ -363,13 +363,20 @@ def graded_inputs():
     length = 10
     ising = ising_mpo(length, 1.0, 0.7)
     lmg = lmg_mpo(length, 0.3)
-    pos, neg = zz_decomposition(length, 3, 6)
+
+    def zz_part(*states):
+        """sum of P_a[3] P_b[6] over the given (a, b): graded, bond 2."""
+        first, second = (projector_block(length, [(3, a), (6, b)]).mpo for a, b in states)
+        return add(first, second)[0]
+
+    zz_pos = zz_part((0, 0), (1, 1))  # the aligned part of sz_3 sz_6
+    zz_neg = zz_part((1, 0), (0, 1))  # and the anti-aligned part
     return {
         "lmg^8": (_power(lmg, 8), 36),
         "ising^8": (_power(ising, 8), 36),
         "ising^6+lmg^6": (add(_power(ising, 6), _power(lmg, 6))[0], 32),
-        "ising^6*zz_pos": (multiply(_power(ising, 6), pos.mpo)[0], 32),
-        "lmg^6*zz_neg": (multiply(_power(lmg, 6), neg.mpo)[0], 36),
+        "ising^6*zz_pos": (multiply(_power(ising, 6), zz_pos)[0], 32),
+        "lmg^6*zz_neg": (multiply(_power(lmg, 6), zz_neg)[0], 36),
         "random_complex": (random_graded_mpo(np.random.default_rng(41), 8, 40), 32),
     }
 

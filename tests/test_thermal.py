@@ -196,13 +196,14 @@ def test_sweep_point_evaluates_three_gibbs_distributions_per_temperature(
     assert len(calls) == 3 * 5
 
 
-def test_correlator_takes_log_z_of_the_identity_run_once_per_temperature(
+def test_correlator_reads_no_identity_run_and_each_part_once_per_temperature(
         ising6_run, monkeypatch):
-    parts = [replace(ising6_run) for _ in range(6)]  # three part pairs, distinct runs
+    parts = [replace(ising6_run) for _ in range(4)]  # four projector parts, distinct runs
     betas = np.array([0.5, 1.0, 3.0])
     calls = _count_gibbs(monkeypatch)
-    zz_from_runs(parts, ising6_run, betas)
-    assert sum(run is ising6_run for run in calls) <= betas.size
+    zz_from_runs(parts, betas)
+    assert not any(run is ising6_run for run in calls)
+    assert len(calls) == len(parts) * betas.size
     assert all(sum(run is part for run in calls) == betas.size for part in parts)
 
 
@@ -235,8 +236,7 @@ def test_correlators_equal_the_per_temperature_reference():
     z_run = run_lanczos(h, identity_block(length), cfg, "i4")
     runs = [run_lanczos(h, block, cfg, "i4") for block in zz_blocks(h, 2, 3)]
     betas = np.array([0.1, 0.5, 1.0, 2.0, 10.0])
-    assert np.array_equal(zz_from_runs(runs, z_run, betas),
-                          reference_zz_from_runs(runs, z_run, betas))
+    assert np.array_equal(zz_from_runs(runs, betas), reference_zz_from_runs(runs, betas))
     parts = [(1.0, runs[0]), (-1.0, runs[1]), (0.5, runs[2])]
     assert np.array_equal(expectation(parts, z_run, betas),
                           reference_expectation(parts, z_run, betas))
@@ -315,6 +315,8 @@ def test_expectation_mismatched_models_rejected():
     from mpotrace import expectation
     with pytest.raises(ValueError, match="mismatch"):
         expectation([(1.0, other)], z_run, [1.0])
+    with pytest.raises(ValueError, match="mismatch"):
+        zz_from_runs([z_run, z_run, other, z_run], [1.0])
 
 
 def test_projector_pair_expectation_at_infinite_temperature():
@@ -327,6 +329,19 @@ def test_projector_pair_expectation_at_infinite_temperature():
     from mpotrace import expectation
     got = expectation([(1.0, run)], z_run, [1e-12])[0]
     assert got == pytest.approx(0.25, abs=1e-9)
+
+
+def test_zz_blocks_are_four_projectors_that_sum_to_the_identity():
+    h = ising_mpo(5, 1.0, 0.0)
+    blocks = zz_blocks(h, 4, 2)
+    assert [b.label for b in blocks] == ["P0[2]*P0[4]", "P0[2]*P1[4]",
+                                         "P1[2]*P0[4]", "P1[2]*P1[4]"]
+    p00, p01, p10, p11 = (to_dense(b.mpo) for b in blocks)
+    assert np.array_equal(p00 + p01 + p10 + p11, np.eye(32))
+    assert np.array_equal(p00 - p01 - p10 + p11, site_op(5, 2, SZ) @ site_op(5, 4, SZ))
+    # X maps P11 onto P00 and P01 onto P10
+    assert [b.label for b in zz_blocks(h, 2, 4, "spin-flip")] == [
+        "P0[2]*P0[4]", "P1[2]*P0[4]", "P1[2]*P0[4]", "P0[2]*P0[4]"]
 
 
 def test_correlation_vanishes_for_product_state():
@@ -346,24 +361,30 @@ def test_correlation_vanishes_at_infinite_temperature():
     assert vals[0] == pytest.approx(0.0, abs=1e-8)
 
 
-def test_correlation_matches_dense_oracle():
-    length = 6
+def _assert_czz_matches_dense(length, d_max, k_max, pairs, betas, **tol):
     h = ising_mpo(length, 1.0, 1.0)
-    cfg = LanczosConfig(k_max=40, d_max=exact_bond_cap(length))
-    betas = np.array([1.0, 2.0])
-    got = correlation_zz(h, 3, 4, betas, cfg)
-    dense = dense_ising(length, 1.0, 1.0)
-    evals, vecs = np.linalg.eigh(dense)
-    zi = site_op(length, 3, SZ)
-    zj = site_op(length, 4, SZ)
-    for idx, beta in enumerate(betas):
-        p = np.exp(-beta * (evals - evals[0]))
-        p /= p.sum()
+    cfg = LanczosConfig(k_max=k_max, d_max=d_max)
+    betas = np.array(betas)
+    evals, vecs = np.linalg.eigh(dense_ising(length, 1.0, 1.0))
+    for i, j in pairs:
+        got = correlation_zz(h, i, j, betas, cfg)
+        zi = site_op(length, i, SZ)
+        zj = site_op(length, j, SZ)
         d_zz = np.einsum("ij,ij->j", vecs.conj(), (zi @ zj) @ vecs).real
         d_i = np.einsum("ij,ij->j", vecs.conj(), zi @ vecs).real
         d_j = np.einsum("ij,ij->j", vecs.conj(), zj @ vecs).real
-        want = float(p @ d_zz - (p @ d_i) * (p @ d_j))
-        assert got[idx] == pytest.approx(want, rel=1e-6, abs=1e-9)
+        for idx, beta in enumerate(betas):
+            p = np.exp(-beta * (evals - evals[0]))
+            p /= p.sum()
+            want = float(p @ d_zz - (p @ d_i) * (p @ d_j))
+            assert got[idx] == pytest.approx(want, **tol), (i, j, beta)
+
+
+def test_correlation_matches_dense_oracle():
+    _assert_czz_matches_dense(6, exact_bond_cap(6), 40, [(3, 4)], [1.0, 2.0],
+                              rel=1e-6, abs=1e-9)
+    # truncated runs at T=0.2: each part is normalised by the sum of all four
+    _assert_czz_matches_dense(8, 16, 30, [(4, 5), (3, 6)], [5.0], abs=5e-3)
 
 
 def test_correlation_spin_flip_agrees_with_plain_path():
