@@ -311,19 +311,21 @@ def _execute(job):
     """Read one planned run from the cache, or execute (and cache) it.
 
     Runs in a pool worker or in-process, in an existing cache directory.
-    Returns the run and whether it was read from the cache.
+    Returns the run and whether it was read from the cache. It sets main's
+    floating-point policy itself: a spawn or forkserver worker inherits none.
     """
     spec, h, start, lcfg, cache_dir = job
     key = _cache_key(spec.label(), start.label, lcfg)
     path = _cache_path(cache_dir, key) if cache_dir else None
-    if path and os.path.exists(path):
-        return _load_cached(path, key), True
-    run = lanczos.run_lanczos(h, start, lcfg, spec.label())
-    if path:
-        tmp = f"{path}.tmp.{os.getpid()}"
-        lanczos.save_run(run, tmp,
-                         extra_header={"cache_version": CACHE_VERSION, "cache_key": key})
-        os.replace(tmp, path)
+    with np.errstate(over="raise", invalid="raise"):
+        if path and os.path.exists(path):
+            return _load_cached(path, key), True
+        run = lanczos.run_lanczos(h, start, lcfg, spec.label())
+        if path:
+            tmp = f"{path}.tmp.{os.getpid()}"
+            lanczos.save_run(run, tmp,
+                             extra_header={"cache_version": CACHE_VERSION, "cache_key": key})
+            os.replace(tmp, path)
     return run, False
 
 
@@ -671,7 +673,7 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
         # an overflow or a NaN (from couplings near the float range, say) is a
         # numerical failure where it happens, not a warning and a later error;
-        # forked pool workers inherit the setting
+        # _execute sets the same policy in a pool worker, under any start method
         with np.errstate(over="raise", invalid="raise"):
             return args.handler(args)
     except ConfigError as exc:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mpo import Mpo, identity_mpo
+from .mpo import Mpo
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -112,7 +112,7 @@ class StartingBlock:
 
 
 def identity_block(length):
-    return StartingBlock(identity_mpo(length), "identity")
+    return projector_block(length, ())
 
 
 def projector_block(length, sites):

@@ -40,8 +40,8 @@ DENSE_GUARD = 14
 
 # Bond caps from which compress factorises the parity sectors of each bond
 # separately. Below it the per-sector assembly costs more than the half-size
-# factorisations save (in-process A/B timing: the crossover lies between
-# D=24 and D=32).
+# factorisations save: splitting at every cap made LMG and Ising L=8 runs
+# (K=40) 1.13-1.14x slower at cap 24 and 1.53-1.54x at cap 16.
 _SECTOR_MIN_D = 32
 # Z2 parity of the single-site operator |o><i| on a spin-1/2 site.
 _PHYS_PARITY = np.array([[0, 1], [1, 0]], dtype=np.int8)
@@ -61,10 +61,9 @@ class Mpo:
 
     __slots__ = ("tensors",)
 
-    def __init__(self, tensors, validate=True):
+    def __init__(self, tensors):
         self.tensors = [_canonical_array(t) for t in tensors]
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         if not self.tensors:
@@ -155,7 +154,7 @@ class _Pending:
         return out + [(np.where(la, pa, pb), la | lb)]
 
     def build(self):
-        return Mpo([self.site(i) for i in range(self.length)], validate=False)
+        return Mpo([self.site(i) for i in range(self.length)])
 
 
 @dataclass(frozen=True)
@@ -169,10 +168,6 @@ class CompressionReport:
         return float(np.sum(self.discarded_weights))
 
 
-def _clean_report(u):
-    return CompressionReport(np.zeros(max(u.length - 1, 0)))
-
-
 def exact_bond_cap(length, phys_dim=2):
     """Bond dimension sufficient to represent any operator on the chain exactly."""
     return int(phys_dim ** (2 * (length // 2)))
@@ -183,7 +178,7 @@ def identity_mpo(length, phys_dim=2):
     if length < 1:
         raise ValueError("length must be >= 1")
     eye = np.eye(phys_dim).reshape(1, phys_dim, phys_dim, 1)
-    return Mpo([eye] * length, validate=False)
+    return Mpo([eye] * length)
 
 
 def inner_product(u, v):
@@ -219,12 +214,12 @@ def trace(u):
 def scale(c, u):
     """c * u, implemented by scaling the first site tensor; bonds unchanged."""
     out = [u.tensors[0] * c] + list(u.tensors[1:])
-    return Mpo(out, validate=False)
+    return Mpo(out)
 
 
 def dagger(u):
     """Hermitian adjoint: conjugate site tensors and swap physical legs."""
-    return Mpo([t.conj().transpose(0, 2, 1, 3) for t in u.tensors], validate=False)
+    return Mpo([t.conj().transpose(0, 2, 1, 3) for t in u.tensors])
 
 
 def relative_distance(a, b):
@@ -247,7 +242,7 @@ def _maybe_compress(w, d_max):
             raise ValueError("d_max must be >= 1")
         if w.max_bond > d_max:
             return compress(w, d_max)
-    return w.build(), _clean_report(w)
+    return w.build(), CompressionReport(np.zeros(w.length - 1))
 
 
 def add(u, v, d_max=None):
@@ -334,7 +329,7 @@ def _bond_parities(tensors):
     return out
 
 
-# The one block of an ungraded matrix: the whole matrix, as a view.
+# The one block of a one-sector matrix: the whole matrix, as a view.
 _WHOLE = ((0, slice(None), slice(None)),)
 
 
@@ -389,49 +384,53 @@ def compress(u, d_max):
     splits again in the next compression.
 
     Splitting is decided by the cap, not by the bond at hand: it runs only
-    when ``d_max >= _SECTOR_MIN_D`` (a measured crossover below which the
-    per-sector assembly costs more than it saves). One unsplit factorisation
-    turns the exact zeros into roundoff, and no later call could split, so a
-    whole Lanczos run (one fixed cap) splits in every compression or in none.
-    An ungraded chain, or a smaller cap, is the one-sector case of the same
-    sweeps with no per-sector assembly.
+    when ``d_max >= _SECTOR_MIN_D``, a measured crossover. One unsplit
+    factorisation turns the exact zeros into roundoff, and no later call
+    could split, so a whole Lanczos run (one fixed cap) splits in every
+    compression or in none. An ungraded chain, or a smaller cap, is one
+    sector: the QR sweep runs it as the one block ``_WHOLE`` of its blocked
+    loop, and the SVD sweep keeps a branch for it (``_svd_sweep`` says why).
+    A one-site chain has no internal bond, so neither loop runs and the
+    result shares its site.
 
     Memory: the uncompressed sum or product is the largest object of a
     Lanczos step (bond w*D or 2D against D). A capped ``add`` or ``multiply``
-    passes its operands instead (``_Pending``): the QR sweep builds each site
-    when R is to be carried into it and drops it right after, and the sector
-    labels come from the operands' own (``_Pending.bond_parities``). On the split
-    path a capped call then peaks at about its Q blocks (half the operator,
-    since the sites are block diagonal) plus one site: 0.59-0.61x the
-    uncompressed operator's bytes at L=12, cap 60, against 1.06-1.10x when
-    every site was built before the sweep. The one-sector path stays at
-    about 1.1x, as its Q factors are as large as the sites. A plain ``u`` is
-    only read, never mutated.
+    passes its operands instead (``_Pending``; 7.5 MB less peak RSS on an
+    LMG L=12, cap 60 sweep): the QR sweep builds each site when R is to be
+    carried into it and drops it right after, and the sector labels come
+    from the operands' own (``_Pending.bond_parities``). A capped call then
+    peaks at about its Q factors plus one site: split, 0.59-0.61x the
+    uncompressed operator's bytes at L=12, cap 60 (the sites are block
+    diagonal, so Q is half the operator); in one sector, where Q is as large
+    as the sites, 0.99-1.01x there and 1.11-1.15x at L=8, cap 24. A plain
+    ``u`` is only read, never mutated.
     """
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
     pending = isinstance(u, _Pending)
     # a plain input's sites are only read: it is never mutated
     site = u.site if pending else u.tensors.__getitem__
-    if u.length == 1:
-        return Mpo([site(0).copy()], validate=False), CompressionReport(np.zeros(0))
     graded = None
     if d_max >= _SECTOR_MIN_D:
         grading = u.bond_parities() if pending else _bond_parities(u.tensors)
         graded = None if grading is None else [p for p, _ in grading]
     ts, q_blocks, bonds = _qr_sweep(site, u.length, graded)
     discarded = _svd_sweep(ts, graded, q_blocks, bonds, d_max)
-    return Mpo(ts, validate=False), CompressionReport(discarded)
+    return Mpo(ts), CompressionReport(discarded)
 
 
 def _qr_sweep(site, length, graded):
     """Left-to-right QR sweep of ``compress`` over the sites that ``site(i)`` returns.
 
-    Each site is asked for once, when R is carried into it, and is dropped
-    after that. Returns the site list for the SVD sweep: ungraded, each site
-    is its Q factor; graded, a site's Q blocks are returned instead and its
-    entry is None, as the SVD sweep rebuilds it from them. The last site
-    carries the final R. Also returns the parity of the bond left of each site.
+    One loop for every chain: each site matrix is factorised per block, its
+    parity blocks if ``graded`` labels the bonds, else the one block
+    ``_WHOLE``, and every R is carried into the next site by one
+    ``np.matmul(..., out=)``. The fork left is which blocks, decided in
+    ``compress`` by ``_SECTOR_MIN_D``. Each site is asked for once, when R
+    is carried into it, and is dropped after that. Returns the site list,
+    every entry None but the last, which carries the final R; each site's
+    (shape, Q blocks), from which the SVD sweep rebuilds it; and the parity
+    of the bond left of each site.
     """
     ts = [None] * length
     bonds = [np.zeros(1, dtype=np.int8)]
@@ -443,11 +442,6 @@ def _qr_sweep(site, length, graded):
         blocks = _WHOLE if graded is None else _blocks(_row_parity(bonds[i]), graded[i])
         factors = [np.linalg.qr(mat[rows][:, cols]) for _, rows, cols in blocks]
         del mat, cur
-        if graded is None:
-            (q, r), = factors
-            ts[i] = q.reshape(dl, po, pi, q.shape[1])
-            cur = np.tensordot(r, site(i + 1), axes=(1, 0))
-            continue
         # Q stays in its blocks until the SVD sweep multiplies U S into them.
         q_blocks[i] = ((dl, po, pi), [(rows, q) for (_, rows, _), (q, _) in zip(blocks, factors)])
         nxt = site(i + 1)
@@ -471,7 +465,11 @@ def _svd_sweep(ts, graded, q_blocks, bonds, d_max):
     """Right-to-left truncating SVD sweep of ``compress``, in place on ``ts``.
 
     Returns the discarded squared weight per bond. Each site is released once
-    factorised, and each set of Q blocks once U S is multiplied into it.
+    factorised, and each set of Q blocks once U S is multiplied into it. A
+    split bond assembles its sectors' factors into zero-filled arrays under
+    one merged keep rule. One sector keeps its own branch: through the same
+    assembly it was byte-identical but up to 9% slower at caps of 24 and
+    below (LMG L=8, cap 16, K=40: 0.258 -> 0.281 s, slower in 11 of 12 runs).
     """
     discarded = np.zeros(len(ts) - 1)
     right = None if graded is None else graded[-1]
@@ -482,18 +480,19 @@ def _svd_sweep(ts, graded, q_blocks, bonds, d_max):
         svds = [tensor.truncated_svd(mat[rows][:, cols], d_max) for _, rows, cols in blocks]
         dtype, width = mat.dtype, mat.shape[1]
         del mat
-        if graded is None:
-            res, = svds
-            k = res.s.size
-            ts[i] = res.vh.reshape(k, po, pi, dr)
-            ts[i - 1] = np.tensordot(ts[i - 1], res.u * res.s, axes=(3, 0))
-            discarded[i - 1] = res.discarded_weight
-            del svds, res
-            continue
         ts[i] = None
-        kept = _merged_keep([res.s for res in svds], d_max)
         prev_shape, prev_blocks = q_blocks[i - 1]
         q_blocks[i - 1] = None
+        if graded is None:
+            res, = svds
+            (_, q), = prev_blocks
+            k = res.s.size
+            ts[i] = res.vh.reshape(k, po, pi, dr)
+            ts[i - 1] = (q @ (res.u * res.s)).reshape(*prev_shape, k)
+            discarded[i - 1] = res.discarded_weight
+            del svds, res, prev_blocks, q
+            continue
+        kept = _merged_keep([res.s for res in svds], d_max)
         vh_all = np.zeros((kept.sum(), width), dtype=dtype)
         prev = np.zeros((int(np.prod(prev_shape)), kept.sum()),
                         dtype=np.result_type(dtype, *(q for _, q in prev_blocks)))

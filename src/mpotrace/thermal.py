@@ -31,6 +31,8 @@ from . import lanczos, models, mpo
 from .lanczos import NumericalError
 
 LN2 = float(np.log(2.0))
+# roundoff allowed past each physical range in ThermalSweepResult.check_bounds
+_BOUND_SLACK = 1e-8
 
 
 @dataclass(frozen=True)
@@ -200,14 +202,6 @@ def _require_one_model(runs):
         raise ValueError(f"mismatched Hamiltonians: {labels[0]!r} vs {labels[1]!r}")
 
 
-def _z_log_z(z_run, runs, betas):
-    """log Z of the identity-start ``z_run`` per beta, once every run in
-    ``runs`` is checked to be of the same Hamiltonian."""
-    _require_identity_start(z_run)
-    _require_one_model([z_run, *runs])
-    return _per_beta(z_run, betas)[0]
-
-
 def expectation(parts, z_run, betas):
     """<O>(beta) for O = sum_p sign_p O_p, from per-part quadrature runs.
 
@@ -216,8 +210,10 @@ def expectation(parts, z_run, betas):
     <O> = sum_p sign_p exp(log Z_p - log Z), each log taken by ``_gibbs`` on
     its own run.
     """
+    _require_identity_start(z_run)
+    _require_one_model([z_run, *(part for _, part in parts)])
     b = _as_betas(betas)
-    log_z = _z_log_z(z_run, [part for _, part in parts], b)
+    log_z = _per_beta(z_run, b)[0]
     return sum((sign * np.exp(_per_beta(part, b)[0] - log_z) for sign, part in parts),
                np.zeros(b.size))
 
@@ -235,6 +231,8 @@ def _spin_flip_defect(h):
 def zz_blocks(h, i, j, symmetry="none"):
     """The four starting blocks P_a[i] P_b[j] whose runs on ``h`` give C_zz(i, j)
     by ``zz_from_runs``, in the order ab = 00, 01, 10, 11; each has bond 1.
+    ``models.projector_block`` checks the sites (in range, distinct), before
+    any check on ``h``.
 
     ``symmetry="spin-flip"`` checks, at any L, that H commutes with the global
     spin flip X (|H - XHX| <= 1e-10 |H|). X maps P11 onto P00 and P01 onto P10,
@@ -245,21 +243,18 @@ def zz_blocks(h, i, j, symmetry="none"):
     h = 0 (LMG). There H is diagonal in the sx basis, so C_zz vanishes
     identically: the spin-flip mode can only return zeros, up to roundoff.
     """
-    length = h.length
-    if i == j:
-        raise ValueError("correlator sites must differ")
-    if not (1 <= i <= length and 1 <= j <= length):
-        raise ValueError("correlator site out of range")
-    if i > j:
-        i, j = j, i
     if symmetry not in ("none", "spin-flip"):
         raise ValueError(f"unknown symmetry mode {symmetry!r}")
-    states = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    if symmetry == "spin-flip":
-        if not _spin_flip_defect(h) <= 1e-10:
-            raise ValueError("Hamiltonian does not commute with the global spin flip")
-        states = [(0, 0), (1, 0), (1, 0), (0, 0)]
-    return [models.projector_block(length, [(i, a), (j, b)]) for a, b in states]
+    if i > j:  # a on the left site: fixes the order of the sum in zz_from_runs
+        i, j = j, i
+    blocks = [models.projector_block(h.length, [(i, a), (j, b)])
+              for a, b in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    if symmetry == "none":
+        return blocks
+    if not _spin_flip_defect(h) <= 1e-10:
+        raise ValueError("Hamiltonian does not commute with the global spin flip")
+    p00, _, p10, _ = blocks
+    return [p00, p10, p10, p00]
 
 
 def zz_from_runs(runs, betas):
@@ -306,8 +301,9 @@ class ThermalSweepResult:
     trace_distance: np.ndarray  # D_T(T), same pairing
     czz: dict = field(default_factory=dict)  # (i, j) -> values per T
 
-    def check_bounds(self, slack=1e-8):
-        """Raise if any physical range constraint is violated."""
+    def check_bounds(self):
+        """Raise if any physical range constraint is violated beyond roundoff."""
+        slack = _BOUND_SLACK
         if np.any(self.entropy < -slack) or np.any(self.entropy > LN2 + slack):
             raise NumericalError("entropy density out of [0, ln 2]")
         if np.any(self.heat_capacity < -slack):

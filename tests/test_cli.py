@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import multiprocessing
 import os
 import struct
 import subprocess
@@ -454,6 +456,21 @@ def test_main_coupling_near_the_float_range_is_numerical_failure(tmp_path, capsy
     assert captured.err.startswith("numerical failure:")
     assert len(captured.err.splitlines()) == 1
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_spawned_pool_workers_keep_the_float_policy(tmp_path, capfd, monkeypatch):
+    # spawn (the macOS default) and forkserver (Linux from Python 3.14) start
+    # workers that inherit no numpy state: a warning there would reach fd 2
+    pool, context = concurrent.futures.ProcessPoolExecutor, multiprocessing.get_context("spawn")
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
+                        lambda **kwargs: pool(mp_context=context, **kwargs))
+    code = cli.main(["sweep", "--model", "ising", "--L", "4", "--J", "1e308", "--workers", "2",
+                     "--outputs", "s,Czz", "--czz", "1:2", "--tmin", "0.1", "--tmax", "0.5",
+                     "--tstep", "0.2", "--kmax", "8", "--dmax", "8",
+                     "--out", str(tmp_path / "x.csv")])
+    err = capfd.readouterr().err
+    assert code == 3
+    assert err.startswith("numerical failure:") and len(err.splitlines()) == 1, err
 
 
 def test_main_spin_flip_symmetric_long_chain(tmp_path):

@@ -178,14 +178,18 @@ def test_compress_exact_hamiltonian_unchanged():
     assert np.all(report.discarded_weights <= 1e-20)
 
 
-def test_compress_under_cap_is_exact():
+@pytest.mark.parametrize("length", [1, 6])  # one site: no internal bond for either sweep
+def test_compress_under_cap_is_exact(length):
     rng = np.random.default_rng(21)
-    u = random_mpo(rng, 6, 8)
+    u = random_mpo(rng, length, 8)
+    values = [t.copy() for t in u.tensors]
     out, report = compress(u, 8)
     dense = to_dense(u)
     assert np.linalg.norm(to_dense(out) - dense) <= 1e-10 * np.linalg.norm(dense)
+    assert report.discarded_weights.shape == (length - 1,)
     assert np.all(report.discarded_weights <= 1e-20 * np.linalg.norm(dense) ** 2)
     assert out.max_bond <= 8
+    assert all(np.array_equal(t, v) for t, v in zip(u.tensors, values))
 
 
 def test_compress_distance_nonincreasing_in_cap():
