@@ -15,10 +15,11 @@ call holds the sweep's factors and one site, not the uncompressed operator.
 Parity sectors: every shipped operator commutes with P = prod sz, so each
 bond index carries a Z2 parity that the exact zeros of the site tensors
 reveal (the parity of |o><i| is o xor i; an all-zero index is a wildcard).
-At caps of at least ``_SECTOR_MIN_D``, ``compress`` factorises the even and
-odd sector of each bond separately and returns sector-ordered bonds with
-exact zeros, which products and sums preserve, so every compression of a
-run splits. Nothing outside ``compress`` knows about sectors.
+At caps of at least ``_SECTOR_MIN_D``, ``compress`` labels each site as its
+QR sweep builds it, factorises the even and odd sector of each bond
+separately and returns sector-ordered bonds with exact zeros, which
+products and sums preserve, so every compression of a run splits. Nothing
+outside ``compress`` knows about sectors.
 
 Scalars are complex in general; operators whose entries happen to be real
 (all the shipped models) are kept in real storage so that LAPACK runs in
@@ -100,9 +101,11 @@ class _Pending:
 
     It holds the two operands and builds site ``i`` only when asked, with
     ``_site_sum`` or ``_site_product``, so that ``compress`` can build each
-    site when its QR sweep reaches it and drop it once R is carried in: the
-    uncompressed operator never exists whole. Only ``add`` and ``multiply``
-    make one, and ``_maybe_compress`` never returns it.
+    site when its QR sweep reaches it, read its sector labels off it, and
+    drop it once R is carried in: the uncompressed operator never exists
+    whole, and its labels are those of the operator it stands for. Only
+    ``add`` and ``multiply`` make one, and ``_maybe_compress`` never
+    returns it.
     """
 
     __slots__ = ("a", "b", "product")
@@ -126,32 +129,6 @@ class _Pending:
         if self.product:
             return _site_product(self.a.tensors[i], self.b.tensors[i])
         return _site_sum(self.a.tensors[i], self.b.tensors[i], i, self.length)
-
-    def bond_parities(self):
-        """``_bond_parities`` of the built operator, read off the operands.
-
-        A product index (x, y) is live iff x and y are, and then has parity
-        p_a(x) xor p_b(y); a sum index is its operand's own index. A dead
-        index is labelled even, as the scan labels it: the all-zero indices
-        of ``scale(-0.0, u)`` (alpha = 0 exactly) must not move to the odd
-        sector, or the factorisations, and every later digit, change.
-        """
-        ga, gb = _bond_parities(self.a.tensors), _bond_parities(self.b.tensors)
-        if ga is None or gb is None:
-            return None
-        if self.product:
-            out = []
-            for (pa, la), (pb, lb) in zip(ga, gb):
-                live = la[:, None] & lb
-                out.append((np.where(live, pa[:, None] ^ pb, 0).reshape(-1), live.reshape(-1)))
-            return out
-        out = [(np.concatenate([pa, pb]), np.concatenate([la, lb]))
-               for (pa, la), (pb, lb) in zip(ga[:-1], gb[:-1])]
-        # the two right boundaries are one index: live in both with opposite parities is ungraded
-        (pa, la), (pb, lb) = ga[-1], gb[-1]
-        if np.any(la & lb & (pa != pb)):
-            return None
-        return out + [(np.where(la, pa, pb), la | lb)]
 
     def build(self):
         return Mpo([self.site(i) for i in range(self.length)])
@@ -301,31 +278,36 @@ def _col_parity(bond):
     return (_PHYS_PARITY[:, :, None] ^ bond).reshape(-1)
 
 
-def _bond_parities(tensors):
-    """(parity, live) of every site's right bond index, or None if the chain is not graded.
+def _scan_site(t, bond, live):
+    """(parity, live) of the right bond index of site ``t``, or None if it is not graded.
 
-    The chain is graded when each nonzero entry t[l, o, i, r] has
-    p(r) = p(l) xor o xor i, with an even left boundary. An index whose
-    entries are all zero constrains nothing: it is dead (``live`` False) and
-    labelled even, and the rows it feeds on the next site are ignored, since
-    they multiply zero.
+    ``bond`` and ``live`` label the site's left bond. The site is graded when
+    each nonzero entry t[l, o, i, r] with l live has p(r) = p(l) xor o xor i.
+    An index whose entries are all zero there constrains nothing: it is dead
+    (``live`` False) and labelled even, and the rows it feeds on the next
+    site are ignored, since they multiply zero.
     """
-    if any(t.shape[1:3] != (2, 2) for t in tensors):
+    if t.shape[1:3] != (2, 2):
         return None
-    bond = np.zeros(1, dtype=np.int8)
-    live = np.ones(1, dtype=bool)
+    nonzero = (t != 0).reshape(-1, t.shape[3])
+    rows = _row_parity(bond)
+    live_rows = np.repeat(live, 4)
+    even = nonzero[live_rows & (rows == 0)].any(axis=0)
+    odd = nonzero[live_rows & (rows == 1)].any(axis=0)
+    if np.any(even & odd):
+        return None
+    return odd.astype(np.int8), even | odd
+
+
+def _bond_parities(tensors):
+    """``_scan_site`` of every site from an even left boundary; None if one is not graded."""
+    label = (np.zeros(1, dtype=np.int8), np.ones(1, dtype=bool))
     out = []
     for t in tensors:
-        nonzero = (t != 0).reshape(-1, t.shape[3])
-        rows = _row_parity(bond)
-        live_rows = np.repeat(live, 4)
-        even = nonzero[live_rows & (rows == 0)].any(axis=0)
-        odd = nonzero[live_rows & (rows == 1)].any(axis=0)
-        if np.any(even & odd):
+        label = _scan_site(t, *label)
+        if label is None:
             return None
-        bond = odd.astype(np.int8)
-        live = even | odd
-        out.append((bond, live))
+        out.append(label)
     return out
 
 
@@ -374,9 +356,12 @@ def compress(u, d_max):
     Parity sectors: an operator that commutes with P = prod sz (every
     shipped Hamiltonian, starting block and Krylov vector) splits each bond
     into an even and an odd sector, readable from the exact zero pattern of
-    the site tensors (``_bond_parities``; the parity of |o><i| is o xor i, and
-    an all-zero index is a wildcard). Every site matrix is then block diagonal,
-    so each QR and SVD runs once per sector on a block about half the size.
+    the site tensors (the parity of |o><i| is o xor i, and an all-zero index
+    is a wildcard). The QR sweep reads each site's labels (``_scan_site``)
+    as it builds the site, before R is carried in; a site that is not graded
+    sends the chain back through the sweep as one sector. Every site matrix
+    is then block diagonal, so each QR and SVD runs once per sector on a
+    block about half the size.
     The two sectors' singular values are merged under the keep rule applied
     once across both, which is the same optimal truncation up to ties; the
     discarded weight is what each block dropped plus what the merge dropped.
@@ -397,54 +382,62 @@ def compress(u, d_max):
     Lanczos step (bond w*D or 2D against D). A capped ``add`` or ``multiply``
     passes its operands instead (``_Pending``; 7.5 MB less peak RSS on an
     LMG L=12, cap 60 sweep): the QR sweep builds each site when R is to be
-    carried into it and drops it right after, and the sector labels come
-    from the operands' own (``_Pending.bond_parities``). A capped call then
-    peaks at about its Q factors plus one site: split, 0.59-0.61x the
-    uncompressed operator's bytes at L=12, cap 60 (the sites are block
-    diagonal, so Q is half the operator); in one sector, where Q is as large
-    as the sites, 0.99-1.01x there and 1.11-1.15x at L=8, cap 24. A plain
-    ``u`` is only read, never mutated.
+    carried into it, labels it and drops it right after, so the labels come
+    from one scan of each site as it is built. A capped call then peaks at
+    about its Q factors plus one site: split, 0.59-0.61x the uncompressed
+    operator's bytes at L=12, cap 60 (the sites are block diagonal, so Q is
+    half the operator); in one sector, where Q is as large as the sites,
+    0.99-1.01x there and 1.11-1.15x at L=8, cap 24. A plain ``u`` is only
+    read, never mutated.
     """
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
-    pending = isinstance(u, _Pending)
     # a plain input's sites are only read: it is never mutated
-    site = u.site if pending else u.tensors.__getitem__
-    graded = None
-    if d_max >= _SECTOR_MIN_D:
-        grading = u.bond_parities() if pending else _bond_parities(u.tensors)
-        graded = None if grading is None else [p for p, _ in grading]
-    ts, q_blocks, bonds = _qr_sweep(site, u.length, graded)
-    discarded = _svd_sweep(ts, graded, q_blocks, bonds, d_max)
+    site = u.site if isinstance(u, _Pending) else u.tensors.__getitem__
+    sweep = _qr_sweep(site, u.length, d_max >= _SECTOR_MIN_D)
+    if sweep is None:  # a site is not graded: the chain is one sector
+        sweep = _qr_sweep(site, u.length, False)
+    ts, q_blocks, bonds, right = sweep
+    discarded = _svd_sweep(ts, right, q_blocks, bonds, d_max)
     return Mpo(ts), CompressionReport(discarded)
 
 
-def _qr_sweep(site, length, graded):
+def _qr_sweep(site, length, split):
     """Left-to-right QR sweep of ``compress`` over the sites that ``site(i)`` returns.
 
     One loop for every chain: each site matrix is factorised per block, its
-    parity blocks if ``graded`` labels the bonds, else the one block
-    ``_WHOLE``, and every R is carried into the next site by one
-    ``np.matmul(..., out=)``. The fork left is which blocks, decided in
-    ``compress`` by ``_SECTOR_MIN_D``. Each site is asked for once, when R
-    is carried into it, and is dropped after that. Returns the site list,
-    every entry None but the last, which carries the final R; each site's
-    (shape, Q blocks), from which the SVD sweep rebuilds it; and the parity
-    of the bond left of each site.
+    parity blocks if ``split``, else the one block ``_WHOLE``, and every R
+    is carried into the next site by one ``np.matmul(..., out=)``. The fork
+    left is which blocks, decided in ``compress`` by ``_SECTOR_MIN_D``. Each
+    site is asked for once, when R is carried into it, and is dropped after
+    that; with ``split`` it is labelled first (``_scan_site``), and the
+    sweep returns None at the first site that is not graded. Otherwise it
+    returns the site list, every entry None but the last, which carries the
+    final R; each site's (shape, Q blocks), from which the SVD sweep
+    rebuilds it; the parity of the bond left of each site; and, with
+    ``split``, the parity of the last site's right bond.
     """
     ts = [None] * length
     bonds = [np.zeros(1, dtype=np.int8)]
     q_blocks = [None] * length
     cur = site(0)
+    # (parity, live) of the right bond of the site being factorised, as built
+    label = _scan_site(cur, bonds[0], np.ones(1, dtype=bool)) if split else None
+    if split and label is None:
+        return None
     for i in range(length - 1):
         dl, po, pi, dr = cur.shape
         mat = cur.reshape(dl * po * pi, dr)
-        blocks = _WHOLE if graded is None else _blocks(_row_parity(bonds[i]), graded[i])
+        blocks = _blocks(_row_parity(bonds[i]), label[0]) if split else _WHOLE
         factors = [np.linalg.qr(mat[rows][:, cols]) for _, rows, cols in blocks]
         del mat, cur
         # Q stays in its blocks until the SVD sweep multiplies U S into them.
         q_blocks[i] = ((dl, po, pi), [(rows, q) for (_, rows, _), (q, _) in zip(blocks, factors)])
         nxt = site(i + 1)
+        if split:
+            label = _scan_site(nxt, *label)
+            if label is None:
+                return None
         flat = nxt.reshape(dr, -1)
         rs = [r for _, r in factors]
         # every sector's carry goes straight into one array: no per-sector copies
@@ -458,10 +451,10 @@ def _qr_sweep(site, length, graded):
         del nxt, flat, factors
         bonds.append(np.repeat(np.int8([p for p, _, _ in blocks]), [r.shape[0] for r in rs]))
     ts[-1] = cur
-    return ts, q_blocks, bonds
+    return ts, q_blocks, bonds, label[0] if split else None
 
 
-def _svd_sweep(ts, graded, q_blocks, bonds, d_max):
+def _svd_sweep(ts, right, q_blocks, bonds, d_max):
     """Right-to-left truncating SVD sweep of ``compress``, in place on ``ts``.
 
     Returns the discarded squared weight per bond. Each site is released once
@@ -470,20 +463,20 @@ def _svd_sweep(ts, graded, q_blocks, bonds, d_max):
     one merged keep rule. One sector keeps its own branch: through the same
     assembly it was byte-identical but up to 9% slower at caps of 24 and
     below (LMG L=8, cap 16, K=40: 0.258 -> 0.281 s, slower in 11 of 12 runs).
+    ``right`` is the parity of the last site's right bond, None in one sector.
     """
     discarded = np.zeros(len(ts) - 1)
-    right = None if graded is None else graded[-1]
     for i in range(len(ts) - 1, 0, -1):
         dl, po, pi, dr = ts[i].shape
         mat = ts[i].reshape(dl, po * pi * dr)
-        blocks = _WHOLE if graded is None else _blocks(bonds[i], _col_parity(right))
+        blocks = _WHOLE if right is None else _blocks(bonds[i], _col_parity(right))
         svds = [tensor.truncated_svd(mat[rows][:, cols], d_max) for _, rows, cols in blocks]
         dtype, width = mat.dtype, mat.shape[1]
         del mat
         ts[i] = None
         prev_shape, prev_blocks = q_blocks[i - 1]
         q_blocks[i - 1] = None
-        if graded is None:
+        if right is None:
             res, = svds
             (_, q), = prev_blocks
             k = res.s.size

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mpotrace import cli
+from mpotrace import cli, load_run
 from mpotrace.cli import (
     CacheMismatchError,
     ConfigError,
@@ -262,6 +262,17 @@ def test_run_sweep_parallel_workers_match_serial(tmp_path):
     run_sweep(cfg_serial)
     run_sweep(cfg_parallel)
     assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "p.csv").read_bytes()
+    # at L=6 and cap 32 the runs truncate, on the parity-split compression path
+    csv = {}
+    for workers in (1, 2):
+        cache = tmp_path / f"split{workers}"
+        run_sweep(small_config(tmp_path, lengths=(6,), d_max=32, outputs=("s", "Czz"),
+                               czz_pairs=((2, 4),), out_path=str(cache) + ".csv",
+                               cache_dir=str(cache), workers=workers))
+        csv[workers] = Path(str(cache) + ".csv").read_bytes()
+    runs = [load_run(path)[0] for path in sorted((tmp_path / "split1").glob("*.lrun"))]
+    assert runs and all(np.sum(run.compression_log) > 0.0 for run in runs)
+    assert csv[1] == csv[2]
 
 
 def test_find_peak_quadratic_exact():

@@ -488,22 +488,34 @@ def test_every_compression_of_an_ising_run_splits(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# sector labels of a pending sum or product, read off its operands
+# a pending sum or product compresses as the operator it stands for
 
-def _pending_labels(monkeypatch, calls):
-    """(labels, scanned labels of the built operator) of every capped call in ``calls()``."""
+def _pending_compressions(monkeypatch, calls):
+    """Every capped call in ``calls()``: compress of the pending operand, compress
+    of the operator it builds, and the labels that ``_bond_parities`` scans off it."""
     seen = []
     compress_ = mpo.compress
 
     def checked(u, d_max):
+        out = compress_(u, d_max)
         if isinstance(u, mpo._Pending):  # not the Hermiticity check's plain difference
-            seen.append((u.bond_parities(), mpo._bond_parities(u.build().tensors)))
-        return compress_(u, d_max)
+            built = u.build()
+            seen.append((out, compress_(built, d_max), mpo._bond_parities(built.tensors)))
+        return out
 
     with monkeypatch.context() as patch:
         patch.setattr(mpo, "compress", checked)
         calls()
     return seen
+
+
+def _assert_same_compression(got, want):
+    """Two (Mpo, CompressionReport) pairs hold equal arrays, dtypes included."""
+    (out, report), (ref, ref_report) = got, want
+    assert out.bond_dims == ref.bond_dims
+    for t, r in zip(out.tensors, ref.tensors):
+        assert t.dtype == r.dtype and np.array_equal(t, r)
+    assert np.array_equal(report.discarded_weights, ref_report.discarded_weights)
 
 
 def _random_capped_calls():
@@ -517,8 +529,17 @@ def _random_capped_calls():
         add(u, v, bond)
 
 
+def _ungraded_capped_calls():
+    rng = np.random.default_rng(62)
+    graded = random_graded_mpo(rng, 6, 12)
+    ungraded = random_mpo(rng, 6, 12)
+    for a, b in ((ungraded, graded), (graded, ungraded)):
+        multiply(a, b, 32)
+        add(a, b, 20)
+
+
 _ISING = ising_mpo(8, 1.0, 1.0)
-_LABELLED_CALLS = {
+_CAPPED_CALLS = {
     # alpha = 0 exactly in its first steps: the sums carry all-zero indices
     "ising-identity": lambda: run_lanczos(_ISING, identity_block(8), LanczosConfig(10, 32)),
     "ising-projector": lambda: run_lanczos(_ISING, zz_blocks(_ISING, 3, 6)[0],
@@ -526,37 +547,37 @@ _LABELLED_CALLS = {
     "lmg-identity": lambda: run_lanczos(lmg_mpo(8, 0.3), identity_block(8),
                                         LanczosConfig(10, 32)),
     "random-graded": _random_capped_calls,
+    "ungraded-operand": _ungraded_capped_calls,
 }
 
 
-@pytest.mark.parametrize("name", list(_LABELLED_CALLS))
-def test_pending_labels_are_the_scan_of_the_built_operator(monkeypatch, name):
-    seen = _pending_labels(monkeypatch, _LABELLED_CALLS[name])
-    assert seen
+@pytest.mark.parametrize("name", list(_CAPPED_CALLS))
+def test_pending_compresses_as_its_built_operator(monkeypatch, name):
+    seen = _pending_compressions(monkeypatch, _CAPPED_CALLS[name])
+    assert len(seen) == 4 if name == "ungraded-operand" else len(seen) > 0
     dead = 0
-    for labels, want in seen:
-        assert want is not None and len(labels) == len(want)
-        for (parity, live), (want_parity, want_live) in zip(labels, want):
-            assert np.array_equal(parity, want_parity)
-            assert np.array_equal(live, want_live)
-            dead += int(np.count_nonzero(~live))
+    for got, want, labels in seen:
+        _assert_same_compression(got, want)
+        assert (labels is None) == (name == "ungraded-operand")
+        dead += sum(int(np.count_nonzero(~live)) for _, live in labels or ())
     if name == "ising-identity":
         assert dead  # the case that needs the live mask occurs
 
 
-def test_pending_labels_of_an_ungraded_operand_are_none(monkeypatch):
-    rng = np.random.default_rng(62)
-    graded = random_graded_mpo(rng, 6, 12)
-    ungraded = random_mpo(rng, 6, 12)
-
-    def calls():
-        for a, b in ((ungraded, graded), (graded, ungraded)):
-            multiply(a, b, 32)
-            add(a, b, 20)
-
-    seen = _pending_labels(monkeypatch, calls)
-    assert len(seen) == 4
-    assert all(labels is None and want is None for labels, want in seen)
+def test_chain_ungraded_at_a_middle_site_compresses_as_one_sector(monkeypatch):
+    rng = np.random.default_rng(63)
+    tensors = [t.copy() for t in random_graded_mpo(rng, 8, 40).tensors]
+    site = tensors[4]
+    site[tuple(np.argwhere(site == 0)[0])] = 1.0  # one entry of the wrong parity
+    u = Mpo(tensors)
+    assert mpo._bond_parities(u.tensors[:4]) is not None
+    assert mpo._bond_parities(u.tensors) is None
+    out, report, n_svd = _counted_compress(u, 32, monkeypatch)
+    assert n_svd == u.length - 1  # one SVD per bond
+    assert report.total_discarded > 0.0
+    with monkeypatch.context() as patch:
+        patch.setattr(mpo, "_SECTOR_MIN_D", 33)  # never split at this cap
+        _assert_same_compression((out, report), compress(u, 32))
 
 
 # ---------------------------------------------------------------------------
