@@ -9,14 +9,12 @@ from .mpo import (
     dagger,
     exact_bond_cap,
     frobenius_norm,
-    identity_mpo,
     inner_product,
     load_mpo,
     multiply,
     save_mpo,
     scale,
     to_dense,
-    trace,
 )
 from .models import (
     ModelSpec,

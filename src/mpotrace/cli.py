@@ -141,8 +141,9 @@ class RunConfig:
     def plan(self):
         """(BetaGrid, points) of the sweep, built before any run.
 
-        Points are (ModelSpec, H, {pair: zz_blocks starts}) in CSV row order. A
-        ValueError from an object's own rule is a ConfigError on its setting.
+        Points are (ModelSpec, H, {pair: zz_blocks starts}) in CSV row order;
+        the starts, or {I} when there are none, are the point's one start set.
+        A ValueError from an object's own rule is a ConfigError on its setting.
         The Lanczos settings are ``lanczos_config``'s, as only a sweep uses them.
         """
         self.validate()
@@ -341,12 +342,12 @@ def run_sweep(cfg):
 
     Three steps. (1) Build the plan and the Lanczos settings, which check
     every input, and create the cache directory. (2) Execute each distinct
-    run once: one identity-start run per sweep point, shared by the whole
-    temperature grid and every base observable, plus the ``thermal.zz_blocks``
-    starts of each correlator, deduplicated by cache key; serially or, with
-    ``workers > 1``, on one process pool over runs; cached runs are read
-    instead. (3) Evaluate the observables and check their bounds in-process.
-    ``stats`` counts distinct runs.
+    run once: the ``thermal.zz_blocks`` starts of each correlator, or an
+    identity start at a point without any, deduplicated by cache key;
+    serially or, with ``workers > 1``, on one process pool over runs; cached
+    runs are read instead. (3) Evaluate the observables and check their
+    bounds in-process: a point's base columns from the union of all its
+    runs (``thermal.sweep_observables``). ``stats`` counts distinct runs.
     """
     grid, planned = cfg.plan()
     lcfg = cfg.lanczos_config()
@@ -363,11 +364,12 @@ def run_sweep(cfg):
         jobs.setdefault(key, (spec, h, start, lcfg, cfg.cache_dir))
         return key
 
-    points = []  # (spec, identity key, {pair: keys of its runs})
+    points = []  # (spec, keys of the start set's runs, {pair: keys of its runs})
     for spec, h, starts in planned:
         czz = {pair: [job(spec, h, start) for start in blocks]
                for pair, blocks in starts.items()}
-        points.append((spec, job(spec, h, models.identity_block(spec.length)), czz))
+        base = [key for keys in czz.values() for key in keys]
+        points.append((spec, base or [job(spec, h, models.identity_block(spec.length))], czz))
 
     if cfg.workers > 1 and len(jobs) > 1:
         with concurrent.futures.ProcessPoolExecutor(
@@ -386,8 +388,8 @@ def run_sweep(cfg):
     runs = dict(zip(jobs, (run for run, _ in done)))
 
     results = []
-    for spec, z_key, czz in points:
-        result = thermal.sweep_observables(runs[z_key], grid, spec.length)
+    for spec, base, czz in points:
+        result = thermal.sweep_observables([runs[k] for k in base], grid, spec.length)
         for pair, keys in czz.items():
             result.czz[pair] = thermal.zz_from_runs([runs[k] for k in keys], grid.betas)
         result.check_bounds()

@@ -150,14 +150,6 @@ def exact_bond_cap(length, phys_dim=2):
     return int(phys_dim ** (2 * (length // 2)))
 
 
-def identity_mpo(length, phys_dim=2):
-    """Identity operator; bond dimension 1 everywhere."""
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    eye = np.eye(phys_dim).reshape(1, phys_dim, phys_dim, 1)
-    return Mpo([eye] * length)
-
-
 def inner_product(u, v):
     """Hilbert-Schmidt inner product trace(U^dag V) by transfer contraction.
 
@@ -178,14 +170,6 @@ def frobenius_norm(u):
     if abs(z) > 0.0 and abs(z.imag) > 1e-10 * abs(z):
         raise ArithmeticError(f"<u,u> = {z} has an imaginary part")
     return float(np.sqrt(max(z.real, 0.0)))
-
-
-def trace(u):
-    """Trace of the operator, contracted site by site."""
-    env = np.ones((1,))
-    for t in u.tensors:
-        env = env @ np.trace(t, axis1=1, axis2=2)
-    return complex(env[0])
 
 
 def scale(c, u):

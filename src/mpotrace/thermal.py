@@ -1,12 +1,12 @@
 """Thermal-equilibrium observables as quadrature functionals of H.
 
-Every thermal quantity reduces one Gibbs distribution: ``_gibbs(run, beta)``
-returns log Z and the weights p_j = w_j e^{-beta node_j} / Z on a run's Gauss
-rule. It is the only place that checks beta or exponentiates nodes, and it
-shifts by the run's minimum node, so p_j <= 1 and nothing overflows at any
+Every thermal quantity reduces one Gibbs distribution: ``_gibbs(rule, beta)``
+returns log Z and the weights p_j = w_j e^{-beta node_j} / Z on a Gauss rule.
+It is the only place that checks beta or exponentiates nodes, and it shifts
+by the rule's minimum node, so p_j <= 1 and nothing overflows at any
 beta * ||H||.
 
-``_per_beta`` holds the one per-temperature loop. It evaluates each (run, beta)
+``_per_beta`` holds the one per-temperature loop. It evaluates each (rule, beta)
 once and reduces that (log Z, p) to log Z, the energy and the centred variance
 (c = beta^2 Var H / L, as in ``oracle.exact_observables``: non-negative, and
 accurate when c << (F/Z)^2). Given a partner grid it also evaluates beta' and
@@ -15,8 +15,9 @@ the same p. So a sweep point costs 3 evaluations per temperature.
 ``partition_traces``, ``pair_observables`` and ``sweep_observables`` are its
 three entry points. The ratios Z_p / Z behind expectations and sz
 correlators take log Z of each run from it too. An expectation divides by
-the identity run's Z. A correlator needs no identity run: its four product
-projectors P_a[i] P_b[j] sum to the identity, so their own Z_ab sum to Z.
+the identity run's Z. A correlator's four projectors P_a[i] P_b[j] sum to
+the identity, so their Z_ab sum to Z and their rules make one for Tr f(H):
+neither C_zz nor a sweep point's base columns need an identity run.
 ``trace_norm`` is the one functional here that is not thermal.
 """
 
@@ -88,16 +89,16 @@ def _require_identity_start(run):
         )
 
 
-def _gibbs(run, beta):
-    """(log Z, p) of e^{-beta H} on ``run``'s Gauss rule.
+def _gibbs(rule, beta):
+    """(log Z, p) of e^{-beta H} on a Gauss rule with ascending nodes.
 
     p_j = w_j e^{-beta (node_j - node_0)} / sum_k w_k e^{-beta (node_k - node_0)}
     with node_0 the minimum node, and log Z = -beta node_0 + log of that sum.
     """
     if beta < 0.0 or not math.isfinite(beta):
         raise ValueError("beta must be finite and >= 0")
-    nodes = run.quadrature.nodes
-    m = run.quadrature.weights * np.exp(-beta * (nodes - nodes[0]))
+    nodes = rule.nodes
+    m = rule.weights * np.exp(-beta * (nodes - nodes[0]))
     tot = float(m.sum())
     if not math.isfinite(tot) or tot <= 0.0:
         raise NumericalError("degenerate quadrature mass; run looks corrupt")
@@ -108,7 +109,7 @@ def _as_betas(betas):
     return np.atleast_1d(np.asarray(betas, dtype=float))
 
 
-def _per_beta(run, betas, pair_betas=None):
+def _per_beta(rule, betas, pair_betas=None):
     """(log Z, F/Z, centred variance of H) per beta, and (F_T, D_T) per pair.
 
     The one per-temperature loop: ``_gibbs`` once per beta, whose p gives the
@@ -116,7 +117,7 @@ def _per_beta(run, betas, pair_betas=None):
     ``pair_betas`` it also takes ``_gibbs`` at beta' and at the midpoint, and
     the same p gives D_T. Both arrays are 1-d float arrays of equal length.
     """
-    nodes = run.quadrature.nodes
+    nodes = rule.nodes
     n = betas.size
     log_z = np.empty(n)
     mean = np.empty(n)
@@ -127,14 +128,14 @@ def _per_beta(run, betas, pair_betas=None):
         distance = np.empty(n)
     for idx in range(n):
         beta = betas[idx]
-        log_z[idx], p = _gibbs(run, beta)
+        log_z[idx], p = _gibbs(rule, beta)
         mean[idx] = mu = float(p.dot(nodes))
         d = nodes - mu
         var[idx] = float(p.dot(d * d))
         if pair_betas is not None:
             b1 = pair_betas[idx]
-            lz1[idx], p1 = _gibbs(run, b1)
-            lz_mid[idx], _ = _gibbs(run, 0.5 * (beta + b1))
+            lz1[idx], p1 = _gibbs(rule, b1)
+            lz_mid[idx], _ = _gibbs(rule, 0.5 * (beta + b1))
             distance[idx] = np.abs(p - p1).sum()
     if pair_betas is None:
         return log_z, mean, var
@@ -150,7 +151,7 @@ def partition_traces(run, betas):
     no cancellation.
     """
     _require_identity_start(run)
-    return _per_beta(run, _as_betas(betas))
+    return _per_beta(run.quadrature, _as_betas(betas))
 
 
 def entropy_density(log_z, f_over_z, beta, length):
@@ -174,7 +175,7 @@ def pair_observables(run, betas, pair_betas):
     b1 = _as_betas(pair_betas)
     if b0.shape != b1.shape:
         raise ValueError("betas and pair_betas must have equal length")
-    return _per_beta(run, b0, b1)[3:]
+    return _per_beta(run.quadrature, b0, b1)[3:]
 
 
 def trace_norm(run):
@@ -213,8 +214,8 @@ def expectation(parts, z_run, betas):
     _require_identity_start(z_run)
     _require_one_model([z_run, *(part for _, part in parts)])
     b = _as_betas(betas)
-    log_z = _per_beta(z_run, b)[0]
-    return sum((sign * np.exp(_per_beta(part, b)[0] - log_z) for sign, part in parts),
+    log_z = _per_beta(z_run.quadrature, b)[0]
+    return sum((sign * np.exp(_per_beta(part.quadrature, b)[0] - log_z) for sign, part in parts),
                np.zeros(b.size))
 
 
@@ -267,7 +268,7 @@ def zz_from_runs(runs, betas):
     """
     b = _as_betas(betas)
     _require_one_model(runs)
-    l00, l01, l10, l11 = (_per_beta(run, b)[0] for run in runs)
+    l00, l01, l10, l11 = (_per_beta(run.quadrature, b)[0] for run in runs)
     top = np.maximum(np.maximum(l00, l01), np.maximum(l10, l11))
     log_z = top + np.log(np.exp(l00 - top) + np.exp(l01 - top)
                          + np.exp(l10 - top) + np.exp(l11 - top))
@@ -314,11 +315,26 @@ class ThermalSweepResult:
             raise NumericalError("trace distance out of [0, 2]")
 
 
-def sweep_observables(run, grid, length):
-    """All base observables on a temperature grid from one identity-start run."""
-    _require_identity_start(run)
+def sweep_observables(runs, grid, length):
+    """All base observables on a temperature grid from the runs of one start set.
+
+    The starts ({I}, or the ``zz_blocks`` of each pair) are projectors that sum
+    to n I, so their weights sum to n 2^L. Their rules' union, sorted by node
+    then weight, weights over n, is one rule for Tr f(H) in any run order. A
+    sum that is not a positive whole n to 1e-10 relative raises ValueError.
+    """
+    _require_one_model(runs)
+    nodes = np.concatenate([run.quadrature.nodes for run in runs])
+    weights = np.concatenate([run.quadrature.weights for run in runs])
+    copies = float(weights.sum()) / 2.0 ** length
+    n = np.rint(copies)
+    if not (n >= 1 and abs(copies - n) <= 1e-10 * n):
+        raise ValueError(f"the starts sum to {copies:.12g} copies of the identity, "
+                         "not a positive whole number")
+    order = np.lexsort((weights, nodes))
+    rule = lanczos.QuadratureRule(nodes[order], weights[order] / n)
     betas = grid.betas
-    log_z, f_over_z, var, fid, dist = _per_beta(run, betas, grid.pair_betas)
+    log_z, f_over_z, var, fid, dist = _per_beta(rule, betas, grid.pair_betas)
     s = entropy_density(log_z, f_over_z, betas, length)
     c = betas ** 2 / length * var
     return ThermalSweepResult(

@@ -55,7 +55,7 @@ def _oracle_equivalence_case(build, label):
     cfg = LanczosConfig(k_max=50, d_max=exact_bond_cap(length))
     run = run_lanczos(h, identity_block(length), cfg, label)
     grid = BetaGrid.from_temperatures(TEMPS_10, delta_t=0.1)
-    ours = _register(sweep_observables(run, grid, length))
+    ours = _register(sweep_observables([run], grid, length))
     reference = exact_observables(exact_spectrum(h), grid)
     return ours, reference
 
@@ -256,7 +256,7 @@ def test_criterion_6_efficiency_counters(tmp_path):
     outcome = run_sweep(cfg)
     for _, result in outcome.results:
         _register(result)
-    assert outcome.stats.identity_runs == 1, outcome.stats
+    assert outcome.stats.identity_runs == 0, outcome.stats
     assert outcome.stats.projector_runs <= 2 * len(cfg.czz_pairs), outcome.stats
     print(f"\nACCEPTANCE 6 (efficiency: {outcome.stats.identity_runs} identity, "
           f"{outcome.stats.projector_runs} projector runs for "

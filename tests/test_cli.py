@@ -5,6 +5,7 @@ import os
 import struct
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,10 @@ from mpotrace.cli import (
     parse_config_file,
     run_sweep,
 )
+
+
+BASE_FIELDS = ("log_z", "energy_density", "entropy", "heat_capacity", "fidelity",
+               "trace_distance")
 
 
 def small_config(tmp_path, **overrides):
@@ -249,7 +254,7 @@ def test_sweep_with_correlators_counts_runs(tmp_path):
         k_max=12,
     )
     outcome = run_sweep(cfg)
-    assert outcome.stats.identity_runs == 1
+    assert outcome.stats.identity_runs == 0
     assert outcome.stats.projector_runs == 2 * len(cfg.czz_pairs)
     header = Path(outcome.csv_path).read_text().splitlines()[0].strip()
     assert header.endswith("F_T,D_T,Czz_1_2,Czz_1_4")
@@ -588,13 +593,38 @@ def test_run_sweep_plans_distinct_runs(tmp_path):
                             k_max=12, out_path=str(tmp_path / out), cache_dir=cache)
 
     cold = run_sweep(config("cold.csv"))
-    # one identity run, and the four projectors P_a[i] P_b[j] of each pair
-    assert (cold.stats.identity_runs, cold.stats.projector_runs) == (1, 8)
+    # the four projectors P_a[i] P_b[j] of each pair, and no identity run
+    assert (cold.stats.identity_runs, cold.stats.projector_runs) == (0, 8)
     assert cold.stats.cache_hits == 0
     warm = run_sweep(config("warm.csv"))
     assert (warm.stats.identity_runs, warm.stats.projector_runs) == (0, 0)
-    assert warm.stats.cache_hits == 9
+    assert warm.stats.cache_hits == 8
     assert (tmp_path / "cold.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()
+    # the base columns read the union of all eight runs, in any pair order
+    swapped = run_sweep(replace(config("swapped.csv"), czz_pairs=((1, 3), (1, 2))))
+    assert swapped.stats.cache_hits == 8
+    [(_, want)], [(_, got)] = cold.results, swapped.results
+    for name in BASE_FIELDS:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.czz.keys() == want.czz.keys()
+    assert all(np.array_equal(got.czz[pair], want.czz[pair]) for pair in want.czz)
+
+
+def test_czz_sweep_base_columns_beat_an_identity_run(tmp_path):
+    # at D=32 the L=6 runs truncate; the union of the four projector runs of
+    # C_zz(2, 4) is a rule of 4K nodes for the same traces
+    from mpotrace import BetaGrid, exact_observables, exact_spectrum, ising_mpo
+    cfg = small_config(tmp_path, lengths=(6,), tmax=1.0, tstep=0.2, k_max=20, d_max=32)
+    union = run_sweep(replace(cfg, outputs=("s", "Czz"), czz_pairs=((2, 4),)))
+    plain = run_sweep(cfg)
+    assert (union.stats.identity_runs, plain.stats.identity_runs) == (0, 1)
+    grid = BetaGrid.from_temperatures(cfg.temperatures(), cfg.effective_delta_t())
+    want = exact_observables(exact_spectrum(ising_mpo(6, 1.0, 1.0)), grid)
+    [(_, got)], [(_, ref)] = union.results, plain.results
+    assert np.max(np.abs(got.log_z - want.log_z)) <= 1e-6
+    for name in BASE_FIELDS:
+        err = np.max(np.abs(getattr(got, name) - getattr(want, name)))
+        assert err < np.max(np.abs(getattr(ref, name) - getattr(want, name))), name
 
 
 def test_exact_subcommand_agrees_with_sweep(tmp_path):

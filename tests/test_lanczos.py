@@ -12,14 +12,13 @@ from mpotrace import (
     evaluate,
     exact_bond_cap,
     identity_block,
-    identity_mpo,
+    inner_product,
     ising_mpo,
     load_run,
     run_lanczos,
     save_run,
     scale,
     to_dense,
-    trace,
 )
 from mpotrace.models import StartingBlock
 from mpotrace.thermal import partition_traces
@@ -31,7 +30,7 @@ def untruncated_cfg(length, k_max):
 
 def test_scaled_identity_breaks_down_immediately():
     length = 4
-    a = scale(2.0, identity_mpo(length))
+    a = scale(2.0, identity_block(length).mpo)
     run = run_lanczos(a, identity_block(length), untruncated_cfg(length, 5))
     assert run.projection.termination == "breakdown"
     assert run.projection.k == 1
@@ -100,7 +99,7 @@ def test_gauss_fails_generically_beyond_exactness_degree():
 
 def test_evaluate_constant_and_identity():
     length = 5
-    a = scale(2.0, identity_mpo(length))
+    a = scale(2.0, identity_block(length).mpo)
     run = run_lanczos(a, identity_block(length), untruncated_cfg(length, 4))
     assert evaluate(run, lambda lam: np.ones_like(lam)) == pytest.approx(2.0 ** length)
     assert evaluate(run, lambda lam: lam) == pytest.approx(2.0 * 2 ** length)
@@ -119,7 +118,7 @@ def test_evaluate_matches_dense_exponentials():
 def test_evaluate_scalar_function_fallback():
     import math
     length = 3
-    a = scale(0.5, identity_mpo(length))
+    a = scale(0.5, identity_block(length).mpo)
     run = run_lanczos(a, identity_block(length), untruncated_cfg(length, 3))
     got = evaluate(run, lambda lam: math.exp(-lam))
     assert got == pytest.approx(2 ** length * np.exp(-0.5), rel=1e-12)
@@ -141,13 +140,13 @@ def test_projector_start_measures_block_mass():
     run = run_lanczos(h, blk, untruncated_cfg(length, 20))
     # f == 1 integrates the squared start norm = trace of the projector
     assert evaluate(run, lambda lam: np.ones_like(lam)) == pytest.approx(
-        trace(blk.mpo).real, rel=1e-10)
+        inner_product(identity_block(length).mpo, blk.mpo).real, rel=1e-10)
 
 
 def test_zero_starting_block_rejected():
     length = 3
     h = ising_mpo(length, 1.0, 1.0)
-    zero = StartingBlock(scale(0.0, identity_mpo(length)), "zero")
+    zero = StartingBlock(scale(0.0, identity_block(length).mpo), "zero")
     with pytest.raises(ValueError, match="starting block"):
         run_lanczos(h, zero, untruncated_cfg(length, 4))
 

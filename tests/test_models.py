@@ -6,12 +6,13 @@ from mpotrace import (
     ModelSpec,
     add,
     frobenius_norm,
+    identity_block,
+    inner_product,
     ising_mpo,
     lmg_mpo,
     projector_block,
     scale,
     to_dense,
-    trace,
 )
 
 
@@ -33,7 +34,7 @@ def test_ising_dense_oracle():
 def test_ising_l8_traces():
     h = ising_mpo(8, 1.0, 1.0)
     assert h.max_bond == 3
-    assert trace(h) == pytest.approx(0.0, abs=1e-12)
+    assert inner_product(identity_block(8).mpo, h) == pytest.approx(0.0, abs=1e-12)
     # (L-1) coupling strings + L field strings, each with trace(sigma^2)=2^L
     assert frobenius_norm(h) ** 2 == pytest.approx(2 ** 8 * (7 + 8), rel=1e-12)
 
@@ -43,7 +44,7 @@ def test_lmg_small_dense():
     assert np.allclose(to_dense(lmg_mpo(2, 0.0)), -(np.eye(4) + sx2) / 4.0)
     expected = -(np.eye(4) + sx2) / 4.0 - 0.5 * (np.kron(SZ, np.eye(2)) + np.kron(np.eye(2), SZ))
     assert np.allclose(to_dense(lmg_mpo(2, 1.0)), expected)
-    assert trace(lmg_mpo(2, 1.0)) == pytest.approx(-1.0)
+    assert inner_product(identity_block(2).mpo, lmg_mpo(2, 1.0)) == pytest.approx(-1.0)
 
 
 def test_lmg_dense_oracle():
@@ -76,12 +77,12 @@ def test_lmg_ground_state_anchor():
 def test_projector_block_single_site():
     block = projector_block(3, [(2, 0)])
     assert block.mpo.max_bond == 1
-    assert trace(block.mpo) == pytest.approx(4.0)
+    assert inner_product(identity_block(3).mpo, block.mpo) == pytest.approx(4.0)
 
 
 def test_projector_block_two_sites():
     block = projector_block(4, [(1, 0), (3, 1)])
-    assert trace(block.mpo) == pytest.approx(4.0)
+    assert inner_product(identity_block(4).mpo, block.mpo) == pytest.approx(4.0)
 
 
 def test_projector_block_is_projector():

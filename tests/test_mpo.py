@@ -20,7 +20,6 @@ from mpotrace import (
     compress,
     dagger,
     frobenius_norm,
-    identity_mpo,
     inner_product,
     ising_mpo,
     lmg_mpo,
@@ -29,50 +28,50 @@ from mpotrace import (
     save_mpo,
     scale,
     to_dense,
-    trace,
 )
 from mpotrace import (LanczosConfig, identity_block, mpo, projector_block, run_lanczos, tensor,
                       zz_blocks)
 
 
 def test_identity_dense():
-    assert np.allclose(to_dense(identity_mpo(1)), np.eye(2))
-    assert np.allclose(to_dense(identity_mpo(2)), np.eye(4))
+    assert np.allclose(to_dense(identity_block(1).mpo), np.eye(2))
+    assert np.allclose(to_dense(identity_block(2).mpo), np.eye(4))
 
 
 def test_identity_trace_and_norm():
-    assert trace(identity_mpo(3)) == pytest.approx(8.0)
-    assert frobenius_norm(identity_mpo(4)) == pytest.approx(4.0)
-    assert frobenius_norm(identity_mpo(6)) == pytest.approx(8.0)
-    assert identity_mpo(5).max_bond == 1
+    assert inner_product(identity_block(3).mpo, identity_block(3).mpo) == pytest.approx(8.0)
+    assert frobenius_norm(identity_block(4).mpo) == pytest.approx(4.0)
+    assert frobenius_norm(identity_block(6).mpo) == pytest.approx(8.0)
+    assert identity_block(5).mpo.max_bond == 1
 
 
 def test_inner_product_identity():
-    assert inner_product(identity_mpo(5), identity_mpo(5)) == pytest.approx(32.0)
+    assert inner_product(identity_block(5).mpo, identity_block(5).mpo) == pytest.approx(32.0)
 
 
 def test_inner_product_traceless_hamiltonian():
     h = ising_mpo(2, 1.0, 0.0)
-    assert inner_product(identity_mpo(2), h) == pytest.approx(0.0, abs=1e-14)
+    assert inner_product(identity_block(2).mpo, h) == pytest.approx(0.0, abs=1e-14)
     # <H, H> = trace(sx sx x sx sx) = trace(I_4) = 4
     assert inner_product(h, h) == pytest.approx(4.0)
 
 
 def test_inner_product_length_mismatch():
     with pytest.raises(ValueError):
-        inner_product(identity_mpo(2), identity_mpo(3))
+        inner_product(identity_block(2).mpo, identity_block(3).mpo)
 
 
 def test_frobenius_norm_examples():
-    assert frobenius_norm(scale(0.0, identity_mpo(3))) == 0.0
+    assert frobenius_norm(scale(0.0, identity_block(3).mpo)) == 0.0
     # H = sx sx + g (sz I + I sz): cross terms traceless, trace H^2 = 4 + 2*4 = 12
     h = ising_mpo(2, 1.0, 1.0)
     assert frobenius_norm(h) == pytest.approx(np.sqrt(12.0), rel=1e-12)
 
 
 def test_scale_examples():
-    assert trace(scale(0.0, identity_mpo(4))) == pytest.approx(0.0)
-    assert trace(scale(2.0, identity_mpo(3))) == pytest.approx(16.0)
+    eye3, eye4 = identity_block(3).mpo, identity_block(4).mpo
+    assert inner_product(eye4, scale(0.0, eye4)) == pytest.approx(0.0)
+    assert inner_product(eye3, scale(2.0, eye3)) == pytest.approx(16.0)
     h = ising_mpo(3, 1.0, 0.7)
     unit = scale(1.0 / frobenius_norm(h), h)
     assert frobenius_norm(unit) == pytest.approx(1.0, abs=1e-12)
@@ -80,13 +79,13 @@ def test_scale_examples():
 
 
 def test_add_cancellation():
-    zero, report = add(identity_mpo(3), scale(-1.0, identity_mpo(3)))
+    zero, report = add(identity_block(3).mpo, scale(-1.0, identity_block(3).mpo))
     assert frobenius_norm(zero) == pytest.approx(0.0, abs=1e-14)
     assert report.total_discarded == 0.0
 
 
 def test_add_doubling():
-    two, _ = add(identity_mpo(4), identity_mpo(4))
+    two, _ = add(identity_block(4).mpo, identity_block(4).mpo)
     assert frobenius_norm(two) == pytest.approx(2.0 * 2.0 ** 2)
 
 
@@ -101,7 +100,7 @@ def test_add_recovers_field_part():
 
 def test_multiply_identity_keeps_bonds():
     a = ising_mpo(5, 1.0, 0.3)
-    prod, report = multiply(a, identity_mpo(5))
+    prod, report = multiply(a, identity_block(5).mpo)
     assert prod.bond_dims == a.bond_dims
     assert report.total_discarded == 0.0
     assert np.allclose(to_dense(prod), to_dense(a))
@@ -111,16 +110,16 @@ def test_multiply_involution():
     h = ising_mpo(2, 1.0, 0.0)  # sx sx
     sq, _ = multiply(h, h)
     assert np.allclose(to_dense(sq), np.eye(4))
-    assert trace(sq) == pytest.approx(4.0)
+    assert inner_product(identity_block(2).mpo, sq) == pytest.approx(4.0)
 
 
 def test_multiply_lmg_identity():
     h = lmg_mpo(2, 0.0)
-    prod, _ = multiply(h, identity_mpo(2), 9)
+    prod, _ = multiply(h, identity_block(2).mpo, 9)
     sx2 = np.kron([[0, 1], [1, 0]], [[0, 1], [1, 0]])
     expected = -(np.eye(4) + sx2) / 4.0
     assert np.allclose(to_dense(prod), expected)
-    assert trace(prod) == pytest.approx(-1.0)
+    assert inner_product(identity_block(2).mpo, prod) == pytest.approx(-1.0)
 
 
 def test_dense_additivity_and_multiplicativity():
@@ -164,7 +163,7 @@ def test_triangle_inequality():
 
 
 def test_compress_identity_at_cap_one():
-    out, report = compress(identity_mpo(4), 1)
+    out, report = compress(identity_block(4).mpo, 1)
     assert out.max_bond == 1
     assert report.total_discarded == 0.0
     assert np.allclose(to_dense(out), np.eye(16))
@@ -258,9 +257,9 @@ def test_to_dense_examples():
 
 def test_to_dense_guard():
     with pytest.raises(ValueError):
-        to_dense(identity_mpo(15))
+        to_dense(identity_block(15).mpo)
     # guard is configurable
-    assert to_dense(identity_mpo(3), guard=3).shape == (8, 8)
+    assert to_dense(identity_block(3).mpo, guard=3).shape == (8, 8)
 
 
 def test_to_dense_hermitian_inputs():
@@ -447,7 +446,7 @@ def test_alpha_zero_ising_vector_is_graded():
     # products must still read as graded.
     length = 8
     h = ising_mpo(length, 1.0, 1.0)
-    u1 = scale(1.0 / frobenius_norm(identity_mpo(length)), identity_mpo(length))
+    u1 = scale(1.0 / frobenius_norm(identity_block(length).mpo), identity_block(length).mpo)
     w, _ = multiply(h, u1)
     alpha = inner_product(u1, w).real
     assert alpha == 0.0

@@ -8,7 +8,7 @@ from mpotrace import (
     add,
     exact_observables,
     exact_spectrum,
-    identity_mpo,
+    identity_block,
     ising_mpo,
     lmg_mpo,
     to_dense,
@@ -17,7 +17,7 @@ from mpotrace.thermal import LN2
 
 
 def test_identity_spectrum():
-    spec = exact_spectrum(identity_mpo(2))
+    spec = exact_spectrum(identity_block(2).mpo)
     assert np.allclose(spec.eigenvalues, np.ones(4))
 
 
@@ -33,7 +33,7 @@ def test_lmg_small_spectrum():
 
 def test_spectrum_guard_and_hermiticity():
     with pytest.raises(ValueError):
-        exact_spectrum(identity_mpo(13))
+        exact_spectrum(identity_block(13).mpo)
     t = np.zeros((1, 2, 2, 1))
     t[0, 0, 1, 0] = 1.0
     with pytest.raises(ValueError, match="Hermitian"):

@@ -22,7 +22,6 @@ from mpotrace import (
     exact_bond_cap,
     expectation,
     identity_block,
-    identity_mpo,
     ising_mpo,
     lmg_mpo,
     multiply,
@@ -92,10 +91,17 @@ def test_infinite_temperature_limits(single_site_run):
 def test_partition_traces_requires_identity_start():
     length = 3
     h = ising_mpo(length, 1.0, 1.0)
-    blk = projector_block(length, [(1, 0)])
-    run = run_lanczos(h, blk, LanczosConfig(k_max=8, d_max=exact_bond_cap(length)))
+    cfg = LanczosConfig(k_max=8, d_max=exact_bond_cap(length))
+    run = run_lanczos(h, projector_block(length, [(1, 0)]), cfg)
     with pytest.raises(ValueError, match="identity"):
         partition_traces(run, [1.0])
+    # a sweep point's starts must sum to a whole number of identities
+    grid = BetaGrid(np.array([0.5, 1.0]), 0.1)
+    pair = [run_lanczos(h, block, cfg) for block in zz_blocks(h, 1, 3)]
+    for runs in ([run], [pair[0]], pair[:3]):
+        with pytest.raises(ValueError, match="copies of the identity"):
+            sweep_observables(runs, grid, length)
+    sweep_observables(pair, grid, length).check_bounds()
 
 
 def test_single_site_fidelity_closed_form(single_site_run):
@@ -174,13 +180,13 @@ def test_pair_observables_rejects_unequal_lengths(single_site_run):
 
 
 def _count_gibbs(monkeypatch):
-    """Record the run of every thermal._gibbs evaluation from here on."""
+    """Record the Gauss rule of every thermal._gibbs evaluation from here on."""
     calls = []
     original = thermal._gibbs
 
-    def counting(run, beta):
-        calls.append(run)
-        return original(run, beta)
+    def counting(rule, beta):
+        calls.append(rule)
+        return original(rule, beta)
 
     monkeypatch.setattr(thermal, "_gibbs", counting)
     return calls
@@ -192,25 +198,26 @@ def test_sweep_point_evaluates_three_gibbs_distributions_per_temperature(
     # evaluated once and serves the moments and D_T alike
     calls = _count_gibbs(monkeypatch)
     grid = BetaGrid(np.array([0.2, 0.5, 0.9, 1.4, 2.0]), 0.05)
-    sweep_observables(ising6_run, grid, 6)
+    sweep_observables([ising6_run], grid, 6)
     assert len(calls) == 3 * 5
 
 
 def test_correlator_reads_no_identity_run_and_each_part_once_per_temperature(
         ising6_run, monkeypatch):
-    parts = [replace(ising6_run) for _ in range(4)]  # four projector parts, distinct runs
+    # four projector parts: distinct runs, each with its own rule
+    parts = [replace(ising6_run, quadrature=replace(ising6_run.quadrature)) for _ in range(4)]
     betas = np.array([0.5, 1.0, 3.0])
     calls = _count_gibbs(monkeypatch)
     zz_from_runs(parts, betas)
-    assert not any(run is ising6_run for run in calls)
+    assert not any(rule is ising6_run.quadrature for rule in calls)
     assert len(calls) == len(parts) * betas.size
-    assert all(sum(run is part for run in calls) == betas.size for part in parts)
+    assert all(sum(rule is part.quadrature for rule in calls) == betas.size for part in parts)
 
 
 def test_sweep_columns_equal_the_per_temperature_reference(lmg8_run):
     grid = BetaGrid(0.1 + 0.001 * np.arange(1901), 0.001)
     betas = grid.betas
-    result = sweep_observables(lmg8_run, grid, 8)
+    result = sweep_observables([lmg8_run], grid, 8)
     log_z, mean, var = reference_partition_traces(lmg8_run, betas)
     fid, dist = reference_pair_observables(lmg8_run, betas, grid.pair_betas)
     assert np.array_equal(result.temperatures, grid.temperatures)
@@ -262,7 +269,7 @@ def test_zero_quadrature_mass_is_numerical_error(single_site_run):
 
 def test_trace_norm_identity():
     length = 4
-    eye = identity_mpo(length)
+    eye = identity_block(length).mpo
     run = run_lanczos(eye, identity_block(length),
                       LanczosConfig(k_max=4, d_max=exact_bond_cap(length)))
     assert trace_norm(run) == pytest.approx(16.0, rel=1e-10)
@@ -427,14 +434,14 @@ def test_heat_capacity_consistent_with_log_z_curvature(ising6_run):
 
 def test_entropy_monotone_in_temperature(ising6_run):
     grid = BetaGrid.from_temperatures(np.arange(0.1, 1.05, 0.05), delta_t=0.05)
-    result = sweep_observables(ising6_run, grid, 6)
+    result = sweep_observables([ising6_run], grid, 6)
     assert np.all(np.diff(result.entropy) >= -1e-8)
     result.check_bounds()
 
 
 def test_sweep_observables_columns_consistent(ising6_run):
     grid = BetaGrid.from_temperatures(np.array([0.25, 0.5, 0.75, 1.0]), delta_t=0.25)
-    result = sweep_observables(ising6_run, grid, 6)
+    result = sweep_observables([ising6_run], grid, 6)
     betas = 1.0 / result.temperatures
     s_again = entropy_density(result.log_z, result.energy_density * 6, betas, 6)
     assert np.allclose(result.entropy, s_again)
@@ -445,7 +452,7 @@ def test_sweep_observables_columns_consistent(ising6_run):
 
 def test_sweep_reads_every_beta_from_the_grid(ising6_run):
     grid = BetaGrid.from_temperatures(np.array([0.1, 0.123, 0.7, 1.9]), delta_t=0.001)
-    result = sweep_observables(ising6_run, grid, 6)
+    result = sweep_observables([ising6_run], grid, 6)
     assert result.temperatures is grid.temperatures
     assert np.array_equal(result.log_z, partition_traces(ising6_run, grid.betas)[0])
     for i, (b0, b1) in enumerate(zip(grid.betas, grid.pair_betas)):
