@@ -141,10 +141,12 @@ class RunConfig:
     def plan(self):
         """(BetaGrid, points) of the sweep, built before any run.
 
-        Points are (ModelSpec, H, {pair: zz_blocks starts}) in CSV row order;
-        the starts, or {I} when there are none, are the point's one start set.
-        A ValueError from an object's own rule is a ConfigError on its setting.
-        The Lanczos settings are ``lanczos_config``'s, as only a sweep uses them.
+        Points are (ModelSpec, H, starts) in CSV row order. ``starts`` is the
+        point's one start set, in the layout ``thermal.sweep_observables``
+        reads: the four ``zz_blocks`` of each pair in ``czz_pairs`` order, or
+        [I] when there are no pairs. A ValueError from an object's own rule is
+        a ConfigError on its setting. The Lanczos settings are
+        ``lanczos_config``'s, as only a sweep uses them.
         """
         self.validate()
         setting = "grid"
@@ -152,11 +154,14 @@ class RunConfig:
             grid = BetaGrid.from_temperatures(self.temperatures(), self.effective_delta_t())
             setting = "model"
             specs = sorted(self.model_specs(), key=lambda s: (s.length, s.param_text()))
-            points = [(spec, spec.build(), {}) for spec in specs]
-            for spec, h, starts in points:
+            points = []
+            for spec in specs:
+                h = spec.build()
+                starts = []
                 for i, j in self.czz_pairs:
                     setting = f"output.czz {i}:{j} at {spec.label()}"
-                    starts[i, j] = thermal.zz_blocks(h, i, j, self.czz_symmetry)
+                    starts += thermal.zz_blocks(h, i, j, self.czz_symmetry)
+                points.append((spec, h, starts or [models.identity_block(spec.length)]))
         except ValueError as exc:
             raise ConfigError(f"{setting}: {exc}") from exc
         return grid, points
@@ -315,8 +320,7 @@ def _execute(job):
     Returns the run and whether it was read from the cache. It sets main's
     floating-point policy itself: a spawn or forkserver worker inherits none.
     """
-    spec, h, start, lcfg, cache_dir = job
-    key = _cache_key(spec.label(), start.label, lcfg)
+    key, spec, h, start, lcfg, cache_dir = job
     path = _cache_path(cache_dir, key) if cache_dir else None
     with np.errstate(over="raise", invalid="raise"):
         if path and os.path.exists(path):
@@ -342,12 +346,11 @@ def run_sweep(cfg):
 
     Three steps. (1) Build the plan and the Lanczos settings, which check
     every input, and create the cache directory. (2) Execute each distinct
-    run once: the ``thermal.zz_blocks`` starts of each correlator, or an
-    identity start at a point without any, deduplicated by cache key;
-    serially or, with ``workers > 1``, on one process pool over runs; cached
-    runs are read instead. (3) Evaluate the observables and check their
-    bounds in-process: a point's base columns from the union of all its
-    runs (``thermal.sweep_observables``). ``stats`` counts distinct runs.
+    run of the points' start sets once, deduplicated by cache key; serially
+    or, with ``workers > 1``, on one process pool over runs; cached runs are
+    read instead. (3) Evaluate each point's columns from its runs with one
+    ``thermal.sweep_observables`` call and check their bounds in-process.
+    ``stats`` counts distinct runs.
     """
     grid, planned = cfg.plan()
     lcfg = cfg.lanczos_config()
@@ -357,19 +360,13 @@ def run_sweep(cfg):
         except OSError as exc:
             raise ConfigError(f"output.cache: cannot make a directory at "
                               f"{cfg.cache_dir!r}: {exc.strerror}") from exc
-    jobs = {}  # cache key -> (spec, H, start, lcfg, cache_dir)
-
-    def job(spec, h, start):
-        key = _cache_key(spec.label(), start.label, lcfg)
-        jobs.setdefault(key, (spec, h, start, lcfg, cfg.cache_dir))
-        return key
-
-    points = []  # (spec, keys of the start set's runs, {pair: keys of its runs})
+    jobs = {}  # cache key -> (key, spec, H, start, lcfg, cache_dir)
+    points = []  # (spec, cache keys of its start set's runs)
     for spec, h, starts in planned:
-        czz = {pair: [job(spec, h, start) for start in blocks]
-               for pair, blocks in starts.items()}
-        base = [key for keys in czz.values() for key in keys]
-        points.append((spec, base or [job(spec, h, models.identity_block(spec.length))], czz))
+        keys = [_cache_key(spec.label(), start.label, lcfg) for start in starts]
+        for key, start in zip(keys, starts):
+            jobs.setdefault(key, (key, spec, h, start, lcfg, cfg.cache_dir))
+        points.append((spec, keys))
 
     if cfg.workers > 1 and len(jobs) > 1:
         with concurrent.futures.ProcessPoolExecutor(
@@ -388,10 +385,9 @@ def run_sweep(cfg):
     runs = dict(zip(jobs, (run for run, _ in done)))
 
     results = []
-    for spec, base, czz in points:
-        result = thermal.sweep_observables([runs[k] for k in base], grid, spec.length)
-        for pair, keys in czz.items():
-            result.czz[pair] = thermal.zz_from_runs([runs[k] for k in keys], grid.betas)
+    for spec, keys in points:
+        result = thermal.sweep_observables([runs[k] for k in keys], grid, spec.length,
+                                           cfg.czz_pairs)
         result.check_bounds()
         results.append((spec, result))
     outcome = SweepOutcome(results, stats)
@@ -530,8 +526,9 @@ def _read_series(paths, observable):
     """Collect (model,param) -> {L: (T array, value array)} from sweep CSVs.
 
     Each file must hold at least one row, every T and value must be finite,
-    and a T may appear once per (model, param, L): a repeat (the same file
-    twice, or overlapping sweeps) would bias the peak fit.
+    every L positive and every lmg param h=<number>. A T may appear once per
+    (model, param, L): a repeat (the same file twice, or overlapping sweeps)
+    would bias the peak fit.
     """
     groups = {}
     for path in paths:
@@ -551,10 +548,14 @@ def _read_series(paths, observable):
                 try:
                     t, value = float(row["T"]), float(row[observable])
                     length = int(row["L"])
+                    if row["model"] == "lmg":
+                        _lmg_field(row["param"])
                 except (TypeError, ValueError) as exc:
                     raise ConfigError(f"{where}: {exc}") from exc
                 if not (math.isfinite(t) and math.isfinite(value)):
                     raise ConfigError(f"{where}: T and {observable} must be finite")
+                if length < 1:
+                    raise ConfigError(f"{where}: L={length} is not a positive chain length")
                 series = groups.setdefault((row["model"], row["param"]), {}).setdefault(length, {})
                 if t in series:
                     raise ConfigError(f"{where}: T={t} repeated for {row['model']} "
@@ -567,6 +568,13 @@ def _read_series(paths, observable):
             ts = np.array(sorted(series))
             groups[key][length] = (ts, np.array([series[t] for t in ts]))
     return groups
+
+
+def _lmg_field(param):
+    """The h of an lmg CSV row's ``param`` h=<number>; ValueError if not of that form."""
+    if not (param or "").startswith("h="):
+        raise ValueError(f"lmg param {param!r} is not h=<number>")
+    return float(param[2:])
 
 
 def _cmd_tc(args):
@@ -595,8 +603,8 @@ def _cmd_tc(args):
             continue
         est = extrapolate_tc(sizes, peaks)
         print(f"extrapolated T_c = {est.t_c:.6f} +- {est.uncertainty:.6f}")
-        if model == "lmg" and param.startswith("h="):
-            h = float(param[2:])
+        if model == "lmg":
+            h = _lmg_field(param)
             if 0.0 < h < 1.0:
                 print(f"closed-form T_c(h={h}) = {exact_tc(h):.6f}")
     return status

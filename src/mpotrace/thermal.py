@@ -11,20 +11,22 @@ once and reduces that (log Z, p) to log Z, the energy and the centred variance
 (c = beta^2 Var H / L, as in ``oracle.exact_observables``: non-negative, and
 accurate when c << (F/Z)^2). Given a partner grid it also evaluates beta' and
 the midpoint, for F_T = Z(mid) / sqrt(Z Z') and D_T = sum_j |p_j - p'_j| with
-the same p. So a sweep point costs 3 evaluations per temperature.
-``partition_traces``, ``pair_observables`` and ``sweep_observables`` are its
-three entry points. The ratios Z_p / Z behind expectations and sz
-correlators take log Z of each run from it too. An expectation divides by
-the identity run's Z. A correlator's four projectors P_a[i] P_b[j] sum to
-the identity, so their Z_ab sum to Z and their rules make one for Tr f(H):
-neither C_zz nor a sweep point's base columns need an identity run.
-``trace_norm`` is the one functional here that is not thermal.
+the same p. So a sweep point's base columns cost 3 evaluations per
+temperature, and every function here that takes betas reads log Z from it.
+A sweep point runs one start set: {I}, or the four projectors P_a[i] P_b[j]
+of each correlator pair (``zz_blocks``), which sum to the identity.
+``sweep_observables`` turns the set's runs into every column: the base
+columns from the union of their rules, one rule for Tr f(H), and each C_zz
+from its pair's four runs (``zz_from_runs``, as Z = sum_ab Z_ab), with no
+identity run. ``partition_traces``, ``pair_observables`` and ``expectation``
+read an identity run. ``trace_norm`` is the one functional here that is not
+thermal.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -300,7 +302,7 @@ class ThermalSweepResult:
     heat_capacity: np.ndarray  # c
     fidelity: np.ndarray  # F_T(T) = F_T(1/T, 1/(T+delta_t))
     trace_distance: np.ndarray  # D_T(T), same pairing
-    czz: dict = field(default_factory=dict)  # (i, j) -> values per T
+    czz: dict  # (i, j) -> values per T
 
     def check_bounds(self):
         """Raise if any physical range constraint is violated beyond roundoff."""
@@ -315,22 +317,23 @@ class ThermalSweepResult:
             raise NumericalError("trace distance out of [0, 2]")
 
 
-def sweep_observables(runs, grid, length):
-    """All base observables on a temperature grid from the runs of one start set.
+def sweep_observables(runs, grid, length, pairs=()):
+    """Every column of one sweep point from the runs of its start set.
 
-    The starts ({I}, or the ``zz_blocks`` of each pair) are projectors that sum
-    to n I, so their weights sum to n 2^L. Their rules' union, sorted by node
-    then weight, weights over n, is one rule for Tr f(H) in any run order. A
-    sum that is not a positive whole n to 1e-10 relative raises ValueError.
+    The runs are those of ``zz_blocks`` for each of ``pairs``, four per pair
+    in pair order, or of {I} when there are no pairs: projectors that sum to
+    n I, n = max(1, len(pairs)). Their rules' union, sorted by node then
+    weight, weights over n, is one rule for Tr f(H) in any pair order and
+    gives the base columns; runs 4k to 4k+3 give pair k's C_zz. Weights that
+    do not sum to n 2^L to 1e-10 relative raise ValueError.
     """
     _require_one_model(runs)
     nodes = np.concatenate([run.quadrature.nodes for run in runs])
     weights = np.concatenate([run.quadrature.weights for run in runs])
+    n = max(1, len(pairs))
     copies = float(weights.sum()) / 2.0 ** length
-    n = np.rint(copies)
-    if not (n >= 1 and abs(copies - n) <= 1e-10 * n):
-        raise ValueError(f"the starts sum to {copies:.12g} copies of the identity, "
-                         "not a positive whole number")
+    if not abs(copies - n) <= 1e-10 * n:
+        raise ValueError(f"the starts sum to {copies:.12g} copies of the identity, not {n}")
     order = np.lexsort((weights, nodes))
     rule = lanczos.QuadratureRule(nodes[order], weights[order] / n)
     betas = grid.betas
@@ -345,4 +348,6 @@ def sweep_observables(runs, grid, length):
         heat_capacity=c,
         fidelity=fid,
         trace_distance=dist,
+        czz={pair: zz_from_runs(runs[4 * k:4 * k + 4], betas)
+             for k, pair in enumerate(pairs)},
     )

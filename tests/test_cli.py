@@ -157,6 +157,15 @@ def test_run_sweep_matches_oracle_and_schema(tmp_path):
         got = getattr(result, name)
         ref = getattr(want, name)
         assert np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1e-12)) <= 1e-6
+    # each pair's C_zz reads its own four runs: the two pairs differ by more
+    # than 3e-4 at every T, so a pair that read the other's runs would fail
+    pairs = ((2, 4), (1, 3))
+    with_czz = run_sweep(replace(cfg, outputs=("s", "Czz"), czz_pairs=pairs))
+    want = exact_observables(spectrum, grid, pairs)
+    assert np.min(np.abs(want.czz[2, 4] - want.czz[1, 3])) >= 3e-4
+    [(_, result)] = with_czz.results
+    for pair in pairs:
+        assert np.max(np.abs(result.czz[pair] - want.czz[pair])) <= 1e-10, pair
 
 
 def test_csv_reports_the_requested_temperatures(tmp_path):
@@ -558,18 +567,21 @@ def _ini_sweep(tmp_path, text):
     lambda tmp: ["exact", "--model", "ising", "--L", "4", "--J", "1", "--g", "1",
                  "--outputs", "s,Czz", "--czz", "1:2", "--czz-symmetry", "spin-flip",
                  "--out", str(tmp / "x.csv")],  # g*sz breaks the spin flip, as for sweep
+    lambda tmp: ["tc", _csv_file(tmp, _PEAKS_CSV.replace("h=0.5", "h=abc"))],
+    lambda tmp: ["tc", _csv_file(tmp, _PEAKS_CSV.replace("lmg,6,", "lmg,0,"))],
 ], ids=["exact-over-guard", "tc-missing-csv", "tc-csv-without-model", "tc-csv-bad-number",
         "inspect-missing-run", "inspect-truncated-run", "ini-repeated-key",
         "ini-no-section-header", "ini-reorthogonalize-key", "sweep-out-dir-missing",
         "sweep-out-is-dir", "sweep-cache-is-file", "exact-guard-above-limit",
         "ini-breakdown-tol-key", "tc-csv-repeated-rows", "tc-csv-nan-value", "tc-csv-inf-T",
         "tc-csv-no-rows", "exact-tstep-below-ulp", "sweep-cache-under-a-file",
-        "exact-czz-spin-flip-broken"])
+        "exact-czz-spin-flip-broken", "tc-csv-lmg-param-not-h", "tc-csv-zero-L"])
 def test_main_bad_input_file_or_size_is_config_error(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.setattr(cli, "_execute", lambda job: pytest.fail("a run was started"))
     assert cli.main(argv(tmp_path)) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("config error:") and len(err.splitlines()) == 1
+    assert out == ""  # rejected before any output
 
 
 def test_main_truncated_cached_run_exit_code(tmp_path):

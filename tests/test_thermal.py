@@ -102,6 +102,11 @@ def test_partition_traces_requires_identity_start():
         with pytest.raises(ValueError, match="copies of the identity"):
             sweep_observables(runs, grid, length)
     sweep_observables(pair, grid, length).check_bounds()
+    # with pairs, n is the number of pairs, not read off the weights
+    identity = run_lanczos(h, identity_block(length), cfg)
+    for runs in (pair + pair, pair + [identity]):
+        with pytest.raises(ValueError, match="copies of the identity"):
+            sweep_observables(runs, grid, length, [(1, 3)])
 
 
 def test_single_site_fidelity_closed_form(single_site_run):
@@ -244,6 +249,18 @@ def test_correlators_equal_the_per_temperature_reference():
     runs = [run_lanczos(h, block, cfg, "i4") for block in zz_blocks(h, 2, 3)]
     betas = np.array([0.1, 0.5, 1.0, 2.0, 10.0])
     assert np.array_equal(zz_from_runs(runs, betas), reference_zz_from_runs(runs, betas))
+    # a sweep point reads pair k's C_zz off runs 4k to 4k+3, and its base
+    # columns off the union, whether or not the runs are labelled as pairs
+    grid = BetaGrid(1.0 / betas[::-1], 0.05)
+    other = [run_lanczos(h, block, cfg, "i4") for block in zz_blocks(h, 1, 4)]
+    both = sweep_observables(runs + other, grid, length, [(2, 3), (1, 4)])
+    for pair, pair_runs in (((2, 3), runs), ((1, 4), other)):
+        assert np.array_equal(both.czz[pair], zz_from_runs(pair_runs, grid.betas))
+    one, bare = (sweep_observables(runs, grid, length, pairs) for pairs in ([(2, 3)], []))
+    assert list(one.czz) == [(2, 3)] and bare.czz == {}
+    for name in ("log_z", "energy_density", "entropy", "heat_capacity", "fidelity",
+                 "trace_distance"):
+        assert np.array_equal(getattr(one, name), getattr(bare, name)), name
     parts = [(1.0, runs[0]), (-1.0, runs[1]), (0.5, runs[2])]
     assert np.array_equal(expectation(parts, z_run, betas),
                           reference_expectation(parts, z_run, betas))
