@@ -10,6 +10,12 @@ tridiagonal matrix, weights the squared first eigenvector components scaled
 by the squared starting norm. Evaluating a scalar function on the rule
 approximates trace[sqrt(B) f(A) sqrt(B)^dag].
 
+Each step truncates once. The diagonal coefficient alpha = Re<U, A U> comes
+from a transfer contraction of the untruncated vector, and the next vector
+(A - alpha I) U - beta U_prev is one pending operator, shifted at A's own
+bond, that a single capped compression builds site by site. Its discarded
+weight is the step's entry in the run's compression log.
+
 Whether the input is Hermitian is decided once, on the MPO and at every
 chain length, before the recurrence starts: |A - A^dag| <= 1e-8 |A| by
 ``mpo.relative_distance``. The recurrence keeps the real part of each
@@ -84,7 +90,7 @@ class QuadratureRule:
 class LanczosRun:
     projection: TridiagonalProjection
     quadrature: QuadratureRule
-    compression_log: np.ndarray  # total discarded weight per iteration
+    compression_log: np.ndarray  # weight discarded by each iteration's one compression
     model_label: str = ""
     start_label: str = ""
 
@@ -96,11 +102,16 @@ def quadrature_rule(projection):
 
 
 def run_lanczos(a, start, cfg, model_label=""):
-    """Three-term global Lanczos recurrence on MPOs.
+    """Three-term global Lanczos recurrence on MPOs, one compression per step.
 
     Per iteration: beta_i = |V_{i-1}|, U_i = V_{i-1}/beta_i,
-    V_i = A U_i - beta_i U_{i-1}, alpha_i = Re<U_i, V_i>,
-    V_i -= alpha_i U_i, with every product and sum capped at cfg.d_max.
+    alpha_i = Re<U_i, A U_i> by one transfer contraction
+    (``mpo.expectation``), then V_i = (A - alpha_i I) U_i - beta_i U_{i-1}
+    by one ``mpo.multiply_add`` capped at cfg.d_max. A - alpha_i I is A at
+    its own bond w (``mpo.shift``; a chain with no identity channel gets one
+    appended once per run, at bond w + 1), so the step compresses one
+    operator of bond w*D + D, and builds it only site by site, inside the
+    compression. The compression log holds each step's discarded weight.
     Only U_{i-1} and U_i are kept; earlier vectors are neither stored nor
     projected out. Terminates with "k-max" after cfg.k_max iterations or
     with "breakdown" when beta falls to BREAKDOWN_TOL * beta1 or below (a
@@ -115,6 +126,7 @@ def run_lanczos(a, start, cfg, model_label=""):
     if not beta1 > 0.0:
         raise ValueError("zero starting block")
     threshold = BREAKDOWN_TOL * beta1
+    shiftable, channel = mpo.identity_channel(a)
     alphas = []
     betas = []
     comp_log = []
@@ -131,21 +143,18 @@ def run_lanczos(a, start, cfg, model_label=""):
                 break
             betas.append(beta)
         u = mpo.scale(1.0 / beta, v)
-        w, rep = mpo.multiply(a, u, cfg.d_max)
-        discarded = rep.total_discarded
-        if u_prev is not None:
-            w, rep = mpo.add(w, mpo.scale(-beta, u_prev), cfg.d_max)
-            discarded += rep.total_discarded
-        alpha_c = mpo.inner_product(u, w)
+        alpha_c = mpo.expectation(u, a, u)
         if not np.isfinite(alpha_c):
             raise NumericalError("non-finite diagonal coefficient (overflow?)")
         alpha = float(alpha_c.real)
         alphas.append(alpha)
-        w, rep = mpo.add(w, mpo.scale(-alpha, u), cfg.d_max)
-        discarded += rep.total_discarded
-        comp_log.append(discarded)
+        shifted = mpo.shift(shiftable, channel, -alpha)
+        if u_prev is None:
+            v, rep = mpo.multiply(shifted, u, cfg.d_max)
+        else:
+            v, rep = mpo.multiply_add(shifted, u, mpo.scale(-beta, u_prev), cfg.d_max)
+        comp_log.append(rep.total_discarded)
         u_prev = u
-        v = w
     projection = TridiagonalProjection(
         np.asarray(alphas, dtype=float),
         np.asarray(betas, dtype=float),

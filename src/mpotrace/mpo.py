@@ -7,10 +7,13 @@ and never mutates its inputs, so they are safe to share between threads.
 
 Addition and operator products are exact direct-sum / site-wise-product
 constructions; compression down to a bond cap is triggered only once a bond
-actually exceeds the cap. A capped ``add`` or ``multiply`` never builds its
-result whole: it hands ``compress`` the two operands, and ``compress`` builds
-each site of the sum or product when its QR sweep reaches it, so a capped
-call holds the sweep's factors and one site, not the uncompressed operator.
+actually exceeds the cap. A capped ``add``, ``multiply`` or ``multiply_add``
+never builds its result whole: it hands ``compress`` the operands, and
+``compress`` builds each site of the sum or product when its QR sweep
+reaches it, so a capped call holds the sweep's factors and one site, not the
+uncompressed operator. ``multiply_add`` is the Lanczos step's: a @ u + v,
+with the product pending inside the sum. ``shift`` forms a + cI at a's own
+bond, through the identity channel that ``identity_channel`` finds.
 
 Parity sectors: every shipped operator commutes with P = prod sz, so each
 bond index carries a Z2 parity that the exact zeros of the site tensors
@@ -92,20 +95,24 @@ class Mpo:
         dims = self.bond_dims
         return max(dims) if dims else 1
 
+    def site(self, i):
+        return self.tensors[i]
+
     def __repr__(self):
         return f"Mpo(L={self.length}, bonds={self.bond_dims})"
 
 
 class _Pending:
-    """A sum or product that ``add`` or ``multiply`` has not built yet.
+    """A sum or product that ``add``, ``multiply`` or ``multiply_add`` has not built yet.
 
     It holds the two operands and builds site ``i`` only when asked, with
     ``_site_sum`` or ``_site_product``, so that ``compress`` can build each
     site when its QR sweep reaches it, read its sector labels off it, and
     drop it once R is carried in: the uncompressed operator never exists
-    whole, and its labels are those of the operator it stands for. Only
-    ``add`` and ``multiply`` make one, and ``_maybe_compress`` never
-    returns it.
+    whole, and its labels are those of the operator it stands for. An
+    operand may itself be pending (``multiply_add``'s product): its site is
+    built only when the sum's is. Only those three functions make one, and
+    ``_maybe_compress`` never returns it.
     """
 
     __slots__ = ("a", "b", "product")
@@ -127,8 +134,8 @@ class _Pending:
 
     def site(self, i):
         if self.product:
-            return _site_product(self.a.tensors[i], self.b.tensors[i])
-        return _site_sum(self.a.tensors[i], self.b.tensors[i], i, self.length)
+            return _site_product(self.a.site(i), self.b.site(i))
+        return _site_sum(self.a.site(i), self.b.site(i), i, self.length)
 
     def build(self):
         return Mpo([self.site(i) for i in range(self.length)])
@@ -162,6 +169,22 @@ def inner_product(u, v):
         tmp = np.tensordot(env, tu.conj(), axes=(0, 0))  # (lv, o, i, ru)
         env = np.tensordot(tmp, tv, axes=([0, 1, 2], [0, 1, 2]))  # (ru, rv)
     return complex(env[0, 0])
+
+
+def expectation(u, a, v):
+    """trace(U^dag A V) by one transfer contraction; A V is never built.
+
+    The three-layer sibling of ``inner_product``, at the same polynomial cost
+    in the bond dimensions.
+    """
+    if not u.length == a.length == v.length:
+        raise ValueError("length mismatch")
+    env = np.ones((1, 1, 1))
+    for tu, ta, tv in zip(u.tensors, a.tensors, v.tensors):
+        tmp = np.tensordot(env, tu.conj(), axes=(0, 0))  # (la, lv, o, i, ru)
+        tmp = np.tensordot(tmp, ta, axes=([0, 2], [0, 1]))  # (lv, i, ru, m, ra)
+        env = np.tensordot(tmp, tv, axes=([0, 3, 1], [0, 1, 2]))  # (ru, ra, rv)
+    return complex(env[0, 0, 0])
 
 
 def frobenius_norm(u):
@@ -206,13 +229,22 @@ def _maybe_compress(w, d_max):
     return w.build(), CompressionReport(np.zeros(w.length - 1))
 
 
+def _check_sum(u_dims, v_dims):
+    """Raise unless two chains' (out, in) dimensions agree, site by site."""
+    if len(u_dims) != len(v_dims):
+        raise ValueError("length mismatch")
+    for i, (x, y) in enumerate(zip(u_dims, v_dims)):
+        if x != y:
+            raise ValueError(f"physical dimension mismatch at site {i}")
+
+
+def _phys_dims(u):
+    return [t.shape[1:3] for t in u.tensors]
+
+
 def add(u, v, d_max=None):
     """u + v by exact direct sum, compressed only if a bond exceeds ``d_max``."""
-    if u.length != v.length:
-        raise ValueError("length mismatch")
-    for i, (a, b) in enumerate(zip(u.tensors, v.tensors)):
-        if a.shape[1:3] != b.shape[1:3]:
-            raise ValueError(f"physical dimension mismatch at site {i}")
+    _check_sum(_phys_dims(u), _phys_dims(v))
     return _maybe_compress(_Pending(u, v, product=False), d_max)
 
 
@@ -232,16 +264,77 @@ def _site_sum(a, b, i, length):
     return t
 
 
+def _product(a, u):
+    if a.length != u.length:
+        raise ValueError("length mismatch")
+    if any(ta.shape[2] != tu.shape[1] for ta, tu in zip(a.tensors, u.tensors)):
+        raise ValueError("physical dimension mismatch")
+    return _Pending(a, u, product=True)
+
+
 def multiply(a, u, d_max=None):
     """Operator product a @ u, site-wise exact (bond dims multiply).
 
     Compressed only if a bond exceeds ``d_max``.
     """
-    if a.length != u.length:
-        raise ValueError("length mismatch")
-    if any(ta.shape[2] != tu.shape[1] for ta, tu in zip(a.tensors, u.tensors)):
-        raise ValueError("physical dimension mismatch")
-    return _maybe_compress(_Pending(a, u, product=True), d_max)
+    return _maybe_compress(_product(a, u), d_max)
+
+
+def multiply_add(a, u, v, d_max=None):
+    """a @ u + v with one compression, only if a bond exceeds ``d_max``.
+
+    The sum's first operand is the pending product, so a capped call builds
+    neither a @ u nor the sum whole: each site of both is built when the QR
+    sweep of ``compress`` reaches it.
+    """
+    au = _product(a, u)
+    _check_sum([(ta.shape[1], tu.shape[2]) for ta, tu in zip(a.tensors, u.tensors)],
+               _phys_dims(v))
+    return _maybe_compress(_Pending(au, v, product=False), d_max)
+
+
+def _continues_as_identity(tensors, k):
+    """Whether index ``k`` of the first site's right bond continues as I (x) ... (x) I.
+
+    It does when, from row ``k``, each later site has one nonzero column,
+    holding exactly the identity, whose index is the next site's row.
+    """
+    for t in tensors[1:]:
+        row = t[k]
+        cols = np.flatnonzero(row.reshape(-1, row.shape[-1]).any(axis=0))
+        if cols.size != 1 or not np.array_equal(row[..., cols[0]], np.eye(t.shape[1])):
+            return False
+        k = cols[0]
+    return True
+
+
+def identity_channel(a):
+    """(a', k): ``a`` as a chain ``a'`` whose first-bond index ``k`` continues as the identity.
+
+    That index lets ``shift`` form a + cI at a's own bond. Every ``models``
+    Hamiltonian has one (its last channel), and ``a'`` is ``a``. A chain
+    without one gets one appended: ``a'`` is the direct sum of ``a`` and
+    0 (x) I (x) ... (x) I, at one more bond. Site dimensions must be square.
+    """
+    first = a.tensors[0]
+    for k in range(first.shape[3]):
+        if _continues_as_identity(a.tensors, k):
+            return a, k
+    zero_identity = Mpo([np.zeros((1, *first.shape[1:3], 1))]
+                        + [np.eye(t.shape[1]).reshape(1, *t.shape[1:3], 1) for t in a.tensors[1:]])
+    grown, _ = add(a, zero_identity)
+    return grown, first.shape[3]
+
+
+def shift(a, k, c):
+    """a + c I, with ``(a, k)`` from ``identity_channel``; bonds unchanged.
+
+    Index ``k`` of the first bond continues as I (x) ... (x) I, so adding
+    c I to site 0's entry at ``k`` adds c times the identity on the chain.
+    """
+    first = a.tensors[0].astype(np.result_type(a.tensors[0], c))
+    first[0, :, :, k] += c * np.eye(first.shape[1])
+    return Mpo([first] + a.tensors[1:])
 
 
 def _site_product(ta, tu):
@@ -362,25 +455,27 @@ def compress(u, d_max):
     A one-site chain has no internal bond, so neither loop runs and the
     result shares its site.
 
-    Memory: the uncompressed sum or product is the largest object of a
-    Lanczos step (bond w*D or 2D against D). A capped ``add`` or ``multiply``
-    passes its operands instead (``_Pending``; 7.5 MB less peak RSS on an
-    LMG L=12, cap 60 sweep): the QR sweep builds each site when R is to be
-    carried into it, labels it and drops it right after, so the labels come
-    from one scan of each site as it is built. A capped call then peaks at
-    about its Q factors plus one site: split, 0.59-0.61x the uncompressed
-    operator's bytes at L=12, cap 60 (the sites are block diagonal, so Q is
-    half the operator); in one sector, where Q is as large as the sites,
-    0.99-1.01x there and 1.11-1.15x at L=8, cap 24. A plain ``u`` is only
-    read, never mutated.
+    Memory: the uncompressed (A - alpha I) U - beta U_prev of bond w*D + D
+    is the largest object of a Lanczos step. A capped ``add``, ``multiply``
+    or ``multiply_add`` passes its operands instead (``_Pending``; 7.5 MB
+    less peak RSS on an LMG L=12, cap 60 sweep): the QR sweep builds each
+    site when R is to be carried into it, labels it and drops it right
+    after, so the labels come from one scan of each site as it is built.
+    ``multiply_add``'s product is pending inside its sum, so its site is
+    built only then too; building the product whole first read 75.5-75.9
+    MB of peak RSS on that sweep, against 71.6-72.0 MB. A capped call then
+    peaks at about its Q factors plus one site: split, 0.58-0.61x the
+    uncompressed operator's bytes at L=12, cap 60 (the sites are block
+    diagonal, so Q is half the operator); in one sector, where Q is as
+    large as the sites, 0.99-1.01x there and 1.05-1.15x at L=8, cap 24. A
+    plain ``u`` is only read, never mutated.
     """
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
     # a plain input's sites are only read: it is never mutated
-    site = u.site if isinstance(u, _Pending) else u.tensors.__getitem__
-    sweep = _qr_sweep(site, u.length, d_max >= _SECTOR_MIN_D)
+    sweep = _qr_sweep(u.site, u.length, d_max >= _SECTOR_MIN_D)
     if sweep is None:  # a site is not graded: the chain is one sector
-        sweep = _qr_sweep(site, u.length, False)
+        sweep = _qr_sweep(u.site, u.length, False)
     ts, q_blocks, bonds, right = sweep
     discarded = _svd_sweep(ts, right, q_blocks, bonds, d_max)
     return Mpo(ts), CompressionReport(discarded)

@@ -61,7 +61,9 @@ def exact_observables(spectrum, grid, czz_sites=()):
     ``czz_sites`` is an iterable of (i, j) pairs (1-based) for connected
     sz-sz correlators, which use the eigenvectors. sz is diagonal in the
     product basis, so <n|sz_i|n> = sum_k |v_kn|^2 z_i(k), one matrix-vector
-    product per operator in place of a dense operator product.
+    product per operator in place of a dense operator product. F_T is
+    sum_n sqrt(p_n p'_n) and D_T sum_n |p_n - p'_n| over the Boltzmann
+    weights of the pair, which stay finite wherever log Z does.
     """
     evals = spectrum.eigenvalues
     length = spectrum.length
@@ -81,11 +83,9 @@ def exact_observables(spectrum, grid, czz_sites=()):
         energy[idx] = f_over_z / length
         s[idx] = (beta * f_over_z + lz) / length
         c[idx] = beta ** 2 / length * float(np.dot(p, (evals - f_over_z) ** 2))
-        lz1 = _log_z(evals, b1)
-        lz_mid = _log_z(evals, 0.5 * (beta + b1))
-        fid[idx] = float(np.exp(lz_mid - 0.5 * (lz + lz1)))
-        dist[idx] = float(np.sum(np.abs(np.exp(-beta * evals - lz)
-                                        - np.exp(-b1 * evals - lz1))))
+        p1 = _boltzmann(evals, b1)
+        fid[idx] = float(np.sum(np.sqrt(p * p1)))
+        dist[idx] = float(np.sum(np.abs(p - p1)))
     czz = {}
     if czz_sites:
         occupation = np.abs(spectrum.eigenvectors) ** 2  # |v_kn|^2, k basis, n eigenstate

@@ -1,18 +1,20 @@
 """Thermal-equilibrium observables as quadrature functionals of H.
 
 Every thermal quantity reduces one Gibbs distribution: ``_gibbs(rule, beta)``
-returns log Z and the weights p_j = w_j e^{-beta node_j} / Z on a Gauss rule.
-It is the only place that checks beta or exponentiates nodes, and it shifts
-by the rule's minimum node, so p_j <= 1 and nothing overflows at any
-beta * ||H||.
+returns the weights p_j = w_j e^{-beta node_j} / Z on a Gauss rule and the
+log of Z e^{beta node_0}, with node_0 the rule's minimum node. It is the only
+place that checks beta or exponentiates nodes, and with that shift p_j <= 1
+and nothing overflows at any beta * ||H||.
 
 ``_per_beta`` holds the one per-temperature loop. It evaluates each (rule, beta)
-once and reduces that (log Z, p) to log Z, the energy and the centred variance
+once and reduces that (g, p) to log Z, the energy and the centred variance
 (c = beta^2 Var H / L, as in ``oracle.exact_observables``: non-negative, and
 accurate when c << (F/Z)^2). Given a partner grid it also evaluates beta' and
 the midpoint, for F_T = Z(mid) / sqrt(Z Z') and D_T = sum_j |p_j - p'_j| with
-the same p. So a sweep point's base columns cost 3 evaluations per
-temperature, and every function here that takes betas reads log Z from it.
+the same p. F_T is taken from the shifted logs, in which the -beta node_0
+terms cancel, so it stays finite when beta node_0 is near the float range.
+So a sweep point's base columns cost 3 evaluations per temperature, and
+every function here that takes betas reads log Z from it.
 A sweep point runs one start set: {I}, or the four projectors P_a[i] P_b[j]
 of each correlator pair (``zz_blocks``), which sum to the identity.
 ``sweep_observables`` turns the set's runs into every column: the base
@@ -92,10 +94,11 @@ def _require_identity_start(run):
 
 
 def _gibbs(rule, beta):
-    """(log Z, p) of e^{-beta H} on a Gauss rule with ascending nodes.
+    """(g, p) of e^{-beta H} on a Gauss rule with ascending nodes.
 
     p_j = w_j e^{-beta (node_j - node_0)} / sum_k w_k e^{-beta (node_k - node_0)}
-    with node_0 the minimum node, and log Z = -beta node_0 + log of that sum.
+    with node_0 the minimum node, and g the log of that sum, so that
+    log Z = -beta node_0 + g.
     """
     if beta < 0.0 or not math.isfinite(beta):
         raise ValueError("beta must be finite and >= 0")
@@ -104,7 +107,7 @@ def _gibbs(rule, beta):
     tot = float(m.sum())
     if not math.isfinite(tot) or tot <= 0.0:
         raise NumericalError("degenerate quadrature mass; run looks corrupt")
-    return -beta * float(nodes[0]) + float(np.log(tot)), m / tot
+    return float(np.log(tot)), m / tot
 
 
 def _as_betas(betas):
@@ -117,7 +120,9 @@ def _per_beta(rule, betas, pair_betas=None):
     The one per-temperature loop: ``_gibbs`` once per beta, whose p gives the
     mean sum_j p_j node_j and the variance sum_j p_j (node_j - mean)^2. With
     ``pair_betas`` it also takes ``_gibbs`` at beta' and at the midpoint, and
-    the same p gives D_T. Both arrays are 1-d float arrays of equal length.
+    the same p gives D_T. F_T is exp(g_mid - (g + g') / 2) in ``_gibbs``'s
+    shifted logs g, whose -beta node_0 terms cancel exactly between the
+    midpoint and the pair. Both arrays are 1-d float arrays of equal length.
     """
     nodes = rule.nodes
     n = betas.size
@@ -125,24 +130,24 @@ def _per_beta(rule, betas, pair_betas=None):
     mean = np.empty(n)
     var = np.empty(n)
     if pair_betas is not None:
-        lz1 = np.empty(n)
-        lz_mid = np.empty(n)
+        g_pair = np.empty(n)
         distance = np.empty(n)
     for idx in range(n):
         beta = betas[idx]
-        log_z[idx], p = _gibbs(rule, beta)
+        g, p = _gibbs(rule, beta)
+        log_z[idx] = -beta * float(nodes[0]) + g
         mean[idx] = mu = float(p.dot(nodes))
         d = nodes - mu
         var[idx] = float(p.dot(d * d))
         if pair_betas is not None:
             b1 = pair_betas[idx]
-            lz1[idx], p1 = _gibbs(rule, b1)
-            lz_mid[idx], _ = _gibbs(rule, 0.5 * (beta + b1))
+            g1, p1 = _gibbs(rule, b1)
+            g_mid, _ = _gibbs(rule, 0.5 * (beta + b1))
+            g_pair[idx] = g_mid - 0.5 * (g + g1)
             distance[idx] = np.abs(p - p1).sum()
     if pair_betas is None:
         return log_z, mean, var
-    fidelity = np.exp(lz_mid - 0.5 * (log_z + lz1))
-    return log_z, mean, var, fidelity, distance
+    return log_z, mean, var, np.exp(g_pair), distance
 
 
 def partition_traces(run, betas):

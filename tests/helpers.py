@@ -162,10 +162,11 @@ def reference_czz(spectrum, betas, pairs):
     return out
 
 
-def reference_gibbs(run, beta):
-    """(log Z, p) of e^{-beta H} on a run's Gauss rule, one beta at a time.
+def reference_shifted_gibbs(run, beta):
+    """(g, p) of e^{-beta H} on a run's Gauss rule, one beta at a time, with
+    g = log Z + beta node_0, node_0 the lowest node.
 
-    This and the loops below are the thermal layer's per-temperature
+    This and the functions below are the thermal layer's per-temperature
     arithmetic written out plainly, with the numpy module reductions; the
     package must reproduce every value of them bit for bit.
     """
@@ -176,7 +177,13 @@ def reference_gibbs(run, beta):
     tot = float(np.sum(m))
     if not np.isfinite(tot) or tot <= 0.0:
         raise ArithmeticError("degenerate quadrature mass")
-    return -beta * float(nodes[0]) + float(np.log(tot)), m / tot
+    return float(np.log(tot)), m / tot
+
+
+def reference_gibbs(run, beta):
+    """(log Z, p) of e^{-beta H} on a run's Gauss rule, one beta at a time."""
+    g, p = reference_shifted_gibbs(run, beta)
+    return -beta * float(run.quadrature.nodes[0]) + g, p
 
 
 def reference_partition_traces(run, betas):
@@ -195,19 +202,23 @@ def reference_partition_traces(run, betas):
 
 
 def reference_pair_observables(run, betas, pair_betas):
-    """(F_T, D_T) per pair (beta, beta'), each state evaluated on its own."""
+    """(F_T, D_T) per pair (beta, beta'), each state evaluated on its own.
+
+    F_T = Z(mid) / sqrt(Z Z') from the shifted logs, whose beta node_0
+    terms cancel.
+    """
     b0 = np.atleast_1d(np.asarray(betas, dtype=float))
     b1 = np.atleast_1d(np.asarray(pair_betas, dtype=float))
-    lz0 = np.empty(b0.size)
-    lz1 = np.empty(b0.size)
-    lz_mid = np.empty(b0.size)
+    g0 = np.empty(b0.size)
+    g1 = np.empty(b0.size)
+    g_mid = np.empty(b0.size)
     distance = np.empty(b0.size)
     for idx in range(b0.size):
-        lz0[idx], p0 = reference_gibbs(run, b0[idx])
-        lz1[idx], p1 = reference_gibbs(run, b1[idx])
-        lz_mid[idx], _ = reference_gibbs(run, 0.5 * (b0[idx] + b1[idx]))
+        g0[idx], p0 = reference_shifted_gibbs(run, b0[idx])
+        g1[idx], p1 = reference_shifted_gibbs(run, b1[idx])
+        g_mid[idx], _ = reference_shifted_gibbs(run, 0.5 * (b0[idx] + b1[idx]))
         distance[idx] = np.sum(np.abs(p0 - p1))
-    return np.exp(lz_mid - 0.5 * (lz0 + lz1)), distance
+    return np.exp(g_mid - 0.5 * (g0 + g1)), distance
 
 
 def reference_expectation(parts, z_run, betas):

@@ -467,11 +467,10 @@ def test_main_bad_sweep_input_is_config_error(tmp_path, capsys, monkeypatch, fla
 @pytest.mark.parametrize("flags", [
     ["--model", "lmg", "--h", "1e308"],  # left alone, a nan would reach the SVD
     ["--model", "lmg", "--h", "1e160"],  # overflows in an inner product
-    ["--model", "lmg", "--h", "1e150"],  # overflows only in F_T's exponential
     ["--model", "ising", "--J", "1e308"],
     ["--model", "ising", "--J", "1e308", "--workers", "2", "--outputs", "s,Czz",
      "--czz", "1:2"],  # the runs fail in pool workers
-], ids=["lmg-h-1e308", "lmg-h-1e160", "lmg-h-1e150", "ising-J-1e308", "ising-J-1e308-pool"])
+], ids=["lmg-h-1e308", "lmg-h-1e160", "ising-J-1e308", "ising-J-1e308-pool"])
 def test_main_coupling_near_the_float_range_is_numerical_failure(tmp_path, capsys, flags):
     code = cli.main(["sweep", "--L", "4", *flags, "--tmin", "0.1", "--tmax", "0.5",
                      "--tstep", "0.2", "--kmax", "8", "--dmax", "8",
@@ -481,6 +480,25 @@ def test_main_coupling_near_the_float_range_is_numerical_failure(tmp_path, capsy
     assert captured.err.startswith("numerical failure:")
     assert len(captured.err.splitlines()) == 1
     assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("command", ["sweep", "exact"])
+@pytest.mark.parametrize("h", ["3e149", "1e150", "5e150", "1e153"])
+def test_main_field_near_the_float_range_keeps_the_ground_state(tmp_path, command, h):
+    # beta E0 is near the float range, but F_T and D_T never form it: the
+    # ground state holds all the weight at every T of the grid
+    out = tmp_path / "x.csv"
+    code = cli.main([command, "--model", "lmg", "--L", "4", "--h", h, "--tmin", "0.1",
+                     "--tmax", "0.5", "--tstep", "0.2", "--kmax", "8", "--dmax", "8",
+                     "--out", str(out)])
+    assert code == 0
+    header, *rows = (line.split(",") for line in out.read_text().splitlines())
+    for row in rows:
+        col = dict(zip(header, row))
+        e0 = 4 * float(col["energy_density"])
+        assert e0 == pytest.approx(-2.0 * float(h), rel=1e-12)
+        assert float(col["logZ"]) == pytest.approx(-e0 / float(col["T"]), rel=1e-12)
+        assert float(col["F_T"]) == 1.0 and float(col["D_T"]) == 0.0
 
 
 def test_spawned_pool_workers_keep_the_float_policy(tmp_path, capfd, monkeypatch):

@@ -15,6 +15,7 @@ from mpotrace import (
     inner_product,
     ising_mpo,
     load_run,
+    mpo,
     run_lanczos,
     save_run,
     scale,
@@ -192,6 +193,21 @@ def test_complex_hermitian_chain_converges_in_bond_dimension():
         return abs(partition_traces(run, [beta])[0][0] - want)
 
     assert log_z_error(32) < log_z_error(16)
+
+
+def test_each_step_compresses_once(monkeypatch):
+    calls = []
+    compress = mpo.compress
+
+    def counted(u, d_max):
+        calls.append(d_max)
+        return compress(u, d_max)
+
+    monkeypatch.setattr(mpo, "compress", counted)
+    run = run_lanczos(ising_mpo(8, 1.0, 1.0), identity_block(8), LanczosConfig(10, 32))
+    assert run.projection.k == 10
+    # at most one per step, plus the Hermiticity check's
+    assert len(calls) <= run.projection.k + 1
 
 
 def test_truncation_is_logged():

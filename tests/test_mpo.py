@@ -11,7 +11,9 @@ from helpers import (
     dense_compress,
     dense_ising,
     dense_lmg,
+    dm_chain_mpo,
     random_graded_mpo,
+    random_hermitian_mpo,
     random_mpo,
 )
 from mpotrace import (
@@ -59,6 +61,48 @@ def test_inner_product_traceless_hamiltonian():
 def test_inner_product_length_mismatch():
     with pytest.raises(ValueError):
         inner_product(identity_block(2).mpo, identity_block(3).mpo)
+
+
+@pytest.mark.parametrize("length", [1, 6])
+@pytest.mark.parametrize("dtypes", ["real", "complex", "real-operator"])
+def test_expectation_is_the_inner_product_with_the_product(length, dtypes):
+    rng = np.random.default_rng(71 + length)
+    u, v = (random_mpo(rng, length, 5, complex_entries=dtypes != "real") for _ in range(2))
+    a = random_mpo(rng, length, 3, complex_entries=dtypes == "complex")
+    want = inner_product(u, multiply(a, v)[0])
+    assert abs(mpo.expectation(u, a, v) - want) <= 1e-12 * abs(want)
+
+
+def test_expectation_length_mismatch():
+    with pytest.raises(ValueError, match="length"):
+        mpo.expectation(identity_block(3).mpo, ising_mpo(2, 1.0, 1.0), identity_block(3).mpo)
+
+
+_SHIFTED = {
+    "ising": (ising_mpo(6, 1.0, 0.7), False),
+    "lmg": (lmg_mpo(6, 0.4), False),
+    "dm-chain": (dm_chain_mpo(5, 1.0, 0.7, 0.5), False),
+    "ising-L2": (ising_mpo(2, 1.0, 0.7), False),
+    "random-hermitian": (random_hermitian_mpo(np.random.default_rng(72), 5, 3), True),
+    "random-hermitian-L2": (random_hermitian_mpo(np.random.default_rng(73), 2, 3), True),
+    "random-hermitian-L1": (random_hermitian_mpo(np.random.default_rng(74), 1, 1), False),
+}
+
+
+@pytest.mark.parametrize("name", list(_SHIFTED))
+def test_shift_adds_a_multiple_of_the_identity_at_the_own_bond(name):
+    a, grows = _SHIFTED[name]
+    shiftable, k = mpo.identity_channel(a)
+    assert shiftable.bond_dims == [b + grows for b in a.bond_dims]
+    dense = to_dense(a)
+    np.testing.assert_array_equal(to_dense(shiftable), dense)  # the channel is appended as 0 I
+    eye = np.eye(dense.shape[0])
+    for c in (0.0, -1.7, 0.25 + 0.5j):
+        shifted = mpo.shift(shiftable, k, c)
+        assert shifted.bond_dims == shiftable.bond_dims
+        want = dense + c * eye
+        error = np.max(np.abs(to_dense(shifted) - want))
+        assert error <= np.finfo(float).eps * np.max(np.abs(want))
 
 
 def test_frobenius_norm_examples():
@@ -537,10 +581,23 @@ def _ungraded_capped_calls():
         add(a, b, 20)
 
 
+def _alpha_zero_sum_calls():
+    # A step's sum w - alpha * U with alpha = 0 exactly, as on a traceless H
+    # from the identity: the scaled operand is all zero, so every one of its
+    # bond indices is dead.
+    u = scale(1.0 / frobenius_norm(identity_block(8).mpo), identity_block(8).mpo)
+    hu, _ = multiply(_ISING, u)
+    alpha = inner_product(u, hu).real
+    assert alpha == 0.0
+    h2u, _ = multiply(_ISING, hu)
+    h3u, _ = multiply(_ISING, h2u)
+    add(h3u, scale(-alpha, h2u), 32)  # bond 27 + 9 > 32
+
+
 _ISING = ising_mpo(8, 1.0, 1.0)
 _CAPPED_CALLS = {
-    # alpha = 0 exactly in its first steps: the sums carry all-zero indices
     "ising-identity": lambda: run_lanczos(_ISING, identity_block(8), LanczosConfig(10, 32)),
+    "ising-alpha-zero-sum": _alpha_zero_sum_calls,
     "ising-projector": lambda: run_lanczos(_ISING, zz_blocks(_ISING, 3, 6)[0],
                                            LanczosConfig(10, 32)),
     "lmg-identity": lambda: run_lanczos(lmg_mpo(8, 0.3), identity_block(8),
@@ -559,7 +616,7 @@ def test_pending_compresses_as_its_built_operator(monkeypatch, name):
         _assert_same_compression(got, want)
         assert (labels is None) == (name == "ungraded-operand")
         dead += sum(int(np.count_nonzero(~live)) for _, live in labels or ())
-    if name == "ising-identity":
+    if name == "ising-alpha-zero-sum":
         assert dead  # the case that needs the live mask occurs
 
 
@@ -594,11 +651,14 @@ def _capped_call(length, bond, name, complex_entries=False):
     v = random_graded_mpo(rng, length, bond, complex_entries=complex_entries)
     if name == "multiply":
         return lambda d_max=None: multiply(a, u, d_max)
+    if name == "multiply_add":
+        return lambda d_max=None: mpo.multiply_add(a, u, v, d_max)
     return lambda d_max=None: add(u, v, d_max)
 
 
 _CAPPED = pytest.mark.parametrize("length,bond,name", [
-    (12, 60, "multiply"), (12, 60, "add"), (8, 24, "multiply"), (8, 24, "add")])
+    (12, 60, "multiply"), (12, 60, "add"), (12, 60, "multiply_add"),
+    (8, 24, "multiply"), (8, 24, "add"), (8, 24, "multiply_add")])
 
 
 def _owner(t):

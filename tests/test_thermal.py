@@ -164,9 +164,13 @@ def test_pair_observables_grid_matches_single_pairs(ising6_run):
     for i, (b0, b1) in enumerate(zip(betas, pair_betas)):
         one_fid, one_dist = pair_observables(ising6_run, [b0], [b1])
         assert fid[i] == one_fid[0] and dist[i] == one_dist[0]
+    ref_fid, ref_dist = reference_pair_observables(ising6_run, betas, pair_betas)
+    assert np.array_equal(fid, ref_fid) and np.array_equal(dist, ref_dist)
+    # F_T = Z(mid) / sqrt(Z Z'), up to the rounding of each log Z
     log_z = [partition_traces(ising6_run, b)[0] for b in
              (betas, pair_betas, 0.5 * (betas + pair_betas))]
-    assert np.array_equal(fid, np.exp(log_z[2] - 0.5 * (log_z[0] + log_z[1])))
+    np.testing.assert_allclose(fid, np.exp(log_z[2] - 0.5 * (log_z[0] + log_z[1])),
+                               rtol=4 * np.finfo(float).eps * np.max(np.abs(log_z)), atol=0.0)
     assert fid[1] == 1.0 and dist[1] == 0.0
 
 
