@@ -10,11 +10,13 @@ tridiagonal matrix, weights the squared first eigenvector components scaled
 by the squared starting norm. Evaluating a scalar function on the rule
 approximates trace[sqrt(B) f(A) sqrt(B)^dag].
 
-Each step truncates once. The diagonal coefficient alpha = Re<U, A U> comes
-from a transfer contraction of the untruncated vector, and the next vector
-(A - alpha I) U - beta U_prev is one pending operator, shifted at A's own
-bond, that a single capped compression builds site by site. Its discarded
-weight is the step's entry in the run's compression log.
+Each step is one capped compression and nothing else. The next vector
+(A - alpha I) U - beta U_prev is one pending operator (``mpo.step_operator``),
+shifted at A's own bond, that the compression builds site by site. Its QR
+sweep reads the diagonal coefficient alpha = Re<U, A U> off its last carry,
+before it shifts A, and the compressed vector carries its whole norm, the
+next beta, on its first site. The step's discarded weight is its entry in
+the run's compression log.
 
 Whether the input is Hermitian is decided once, on the MPO and at every
 chain length, before the recurrence starts: |A - A^dag| <= 1e-8 |A| by
@@ -104,13 +106,15 @@ def quadrature_rule(projection):
 def run_lanczos(a, start, cfg, model_label=""):
     """Three-term global Lanczos recurrence on MPOs, one compression per step.
 
-    Per iteration: beta_i = |V_{i-1}|, U_i = V_{i-1}/beta_i,
-    alpha_i = Re<U_i, A U_i> by one transfer contraction
-    (``mpo.expectation``), then V_i = (A - alpha_i I) U_i - beta_i U_{i-1}
-    by one ``mpo.multiply_add`` capped at cfg.d_max. A - alpha_i I is A at
-    its own bond w (``mpo.shift``; a chain with no identity channel gets one
-    appended once per run, at bond w + 1), so the step compresses one
-    operator of bond w*D + D, and builds it only site by site, inside the
+    Per iteration: V_i = (A - alpha_i I) U_i - beta_i U_{i-1} by one
+    ``mpo.compress`` of ``mpo.step_operator`` capped at cfg.d_max, also
+    below the cap. That call also returns alpha_i = Re<U_i, A U_i>, which
+    its QR sweep reads off its last carry, and leaves the whole norm
+    beta_{i+1} = |V_i| on the first site of V_i; then U_{i+1} = V_i /
+    beta_{i+1}. A - alpha_i I is A at its own bond w, shifted on its last
+    site (``mpo.shift``; a chain with no identity channel gets one appended
+    once per run, at bond w + 1), so the step compresses one operator of
+    bond w*D + D, and builds it only block by block, inside the
     compression. The compression log holds each step's discarded weight.
     Only U_{i-1} and U_i are kept; earlier vectors are neither stored nor
     projected out. Terminates with "k-max" after cfg.k_max iterations or
@@ -131,29 +135,24 @@ def run_lanczos(a, start, cfg, model_label=""):
     betas = []
     comp_log = []
     termination = "k-max"
-    u_prev = None
-    v = start.mpo
-    for i in range(1, cfg.k_max + 1):
-        beta = beta1 if i == 1 else mpo.frobenius_norm(v)
+    beta, u_prev, v = beta1, None, start.mpo
+    while True:
         if not np.isfinite(beta):
             raise NumericalError("non-finite block norm (overflow?)")
-        if i > 1:
-            if beta <= threshold:
-                termination = "breakdown"
-                break
-            betas.append(beta)
         u = mpo.scale(1.0 / beta, v)
-        alpha_c = mpo.expectation(u, a, u)
-        if not np.isfinite(alpha_c):
+        rest = None if u_prev is None else mpo.scale(-beta, u_prev)
+        v, rep = mpo.compress(mpo.step_operator(shiftable, channel, u, rest), cfg.d_max)
+        if not np.isfinite(rep.alpha):
             raise NumericalError("non-finite diagonal coefficient (overflow?)")
-        alpha = float(alpha_c.real)
-        alphas.append(alpha)
-        shifted = mpo.shift(shiftable, channel, -alpha)
-        if u_prev is None:
-            v, rep = mpo.multiply(shifted, u, cfg.d_max)
-        else:
-            v, rep = mpo.multiply_add(shifted, u, mpo.scale(-beta, u_prev), cfg.d_max)
+        alphas.append(rep.alpha)
         comp_log.append(rep.total_discarded)
+        if len(alphas) == cfg.k_max:
+            break
+        beta = float(np.linalg.norm(v.tensors[0]))  # sites 1..L-1 are right-orthonormal
+        if beta <= threshold:
+            termination = "breakdown"
+            break
+        betas.append(beta)
         u_prev = u
     projection = TridiagonalProjection(
         np.asarray(alphas, dtype=float),

@@ -7,13 +7,14 @@ and never mutates its inputs, so they are safe to share between threads.
 
 Addition and operator products are exact direct-sum / site-wise-product
 constructions; compression down to a bond cap is triggered only once a bond
-actually exceeds the cap. A capped ``add``, ``multiply`` or ``multiply_add``
-never builds its result whole: it hands ``compress`` the operands, and
-``compress`` builds each site of the sum or product when its QR sweep
+actually exceeds the cap. A capped ``add`` or ``multiply`` never builds its
+result whole: it hands ``compress`` the operands as a pending sum of terms,
+and ``compress`` carries R into each term's block of a site when its QR sweep
 reaches it, so a capped call holds the sweep's factors and one site, not the
-uncompressed operator. ``multiply_add`` is the Lanczos step's: a @ u + v,
-with the product pending inside the sum. ``shift`` forms a + cI at a's own
-bond, through the identity channel that ``identity_channel`` finds.
+uncompressed operator. ``step_operator`` is the Lanczos step's pending
+(A - alpha I) u + v, whose alpha = Re<u, A u> the QR sweep reads off its
+last carry before it shifts A, through the identity channel that
+``identity_channel`` finds on A's last site (``shift``).
 
 Parity sectors: every shipped operator commutes with P = prod sz, so each
 bond index carries a Z2 parity that the exact zeros of the site tensors
@@ -95,47 +96,84 @@ class Mpo:
         dims = self.bond_dims
         return max(dims) if dims else 1
 
-    def site(self, i):
-        return self.tensors[i]
-
     def __repr__(self):
         return f"Mpo(L={self.length}, bonds={self.bond_dims})"
 
 
 class _Pending:
-    """A sum or product that ``add``, ``multiply`` or ``multiply_add`` has not built yet.
+    """A sum of chains that ``add``, ``multiply`` or ``step_operator`` has not built yet.
 
-    It holds the two operands and builds site ``i`` only when asked, with
-    ``_site_sum`` or ``_site_product``, so that ``compress`` can build each
-    site when its QR sweep reaches it, read its sector labels off it, and
-    drop it once R is carried in: the uncompressed operator never exists
-    whole, and its labels are those of the operator it stands for. An
-    operand may itself be pending (``multiply_add``'s product): its site is
-    built only when the sum's is. Only those three functions make one, and
+    Each term is a tuple of chains multiplied site by site: (u,) or (a, u).
+    The sum is their direct sum, so an inner site is block diagonal with one
+    block per term. ``compress`` asks for each site's blocks (``parts``)
+    when its QR sweep reaches it, reads their sector labels, carries R into
+    each block and drops them: the uncompressed operator never exists whole,
+    no zero-filled site is built, and the labels are those of the operator
+    it stands for. A Lanczos step also holds ``channel``, the index of A's
+    last left bond whose left part is I (x) ... (x) I: ``compress`` reads
+    alpha at that site and shifts A there (``shifted``). Only ``add``,
+    ``multiply``, ``step_operator`` and ``compress`` make one, and
     ``_maybe_compress`` never returns it.
     """
 
-    __slots__ = ("a", "b", "product")
+    __slots__ = ("terms", "channel")
 
-    def __init__(self, a, b, product):
-        self.a, self.b, self.product = a, b, product
+    def __init__(self, terms, channel=None):
+        self.terms, self.channel = terms, channel
 
     @property
     def length(self):
-        return self.a.length
+        return self.terms[0][0].length
 
     @property
     def bond_dims(self):
-        if self.product:
-            return [x * y for x, y in zip(self.a.bond_dims, self.b.bond_dims)]
-        return [x + y for x, y in zip(self.a.bond_dims, self.b.bond_dims)]
+        dims = [np.prod([c.bond_dims for c in term], axis=0, dtype=int) for term in self.terms]
+        return [int(d) for d in np.sum(dims, axis=0)]
 
     max_bond = Mpo.max_bond
 
+    def _diagonal(self, i):
+        """Each term's block of site ``i``, with its (left, right) bond offset."""
+        out, left, right = [], 0, 0
+        for term in self.terms:
+            t = (term[0].tensors[i] if len(term) == 1
+                 else _site_product(term[0].tensors[i], term[1].tensors[i]))
+            out.append((t, left, right))
+            left, right = left + t.shape[0], right + t.shape[3]
+        return out
+
+    def parts(self, i):
+        """Site ``i`` as (block, left offset, right offset) triples.
+
+        At either end of the chain the terms share a boundary bond, and the
+        site comes whole; an inner site comes as its diagonal blocks.
+        """
+        if 0 < i < self.length - 1:
+            return self._diagonal(i)
+        return [(self.site(i), 0, 0)]
+
     def site(self, i):
-        if self.product:
-            return _site_product(self.a.site(i), self.b.site(i))
-        return _site_sum(self.a.site(i), self.b.site(i), i, self.length)
+        parts = self._diagonal(i)
+        ts = [t for t, _, _ in parts]
+        if len(ts) == 1:
+            return ts[0]
+        if self.length == 1:
+            return sum(ts)
+        if i == 0:
+            return np.concatenate(ts, axis=3)
+        if i == self.length - 1:
+            return np.concatenate(ts, axis=0)
+        _, left, right = parts[-1]
+        out = np.zeros((left + ts[-1].shape[0], *ts[0].shape[1:3], right + ts[-1].shape[3]),
+                       dtype=np.result_type(*ts))
+        for t, left, right in parts:
+            out[left:left + t.shape[0], :, :, right:right + t.shape[3]] = t
+        return out
+
+    def shifted(self, c):
+        """The step with A + c I in place of A, and no channel left to read."""
+        (a, u), *rest = self.terms
+        return _Pending([(shift(a, self.channel, c), u), *rest])
 
     def build(self):
         return Mpo([self.site(i) for i in range(self.length)])
@@ -143,9 +181,10 @@ class _Pending:
 
 @dataclass(frozen=True)
 class CompressionReport:
-    """Discarded squared weight per internal bond."""
+    """Discarded squared weight per internal bond; for a Lanczos step, its alpha too."""
 
     discarded_weights: np.ndarray
+    alpha: float | None = None  # Re<u, A u> of a ``step_operator``
 
     @property
     def total_discarded(self):
@@ -245,31 +284,14 @@ def _phys_dims(u):
 def add(u, v, d_max=None):
     """u + v by exact direct sum, compressed only if a bond exceeds ``d_max``."""
     _check_sum(_phys_dims(u), _phys_dims(v))
-    return _maybe_compress(_Pending(u, v, product=False), d_max)
+    return _maybe_compress(_Pending([(u,), (v,)]), d_max)
 
 
-def _site_sum(a, b, i, length):
-    """Site ``i`` of the direct sum of two chains of ``length`` sites."""
-    if length == 1:
-        return a + b
-    if i == 0:
-        return np.concatenate([a, b], axis=3)
-    if i == length - 1:
-        return np.concatenate([a, b], axis=0)
-    la, po, pi, ra = a.shape
-    lb, _, _, rb = b.shape
-    t = np.zeros((la + lb, po, pi, ra + rb), dtype=np.result_type(a, b))
-    t[:la, :, :, :ra] = a
-    t[la:, :, :, ra:] = b
-    return t
-
-
-def _product(a, u):
+def _check_product(a, u):
     if a.length != u.length:
         raise ValueError("length mismatch")
     if any(ta.shape[2] != tu.shape[1] for ta, tu in zip(a.tensors, u.tensors)):
         raise ValueError("physical dimension mismatch")
-    return _Pending(a, u, product=True)
 
 
 def multiply(a, u, d_max=None):
@@ -277,64 +299,72 @@ def multiply(a, u, d_max=None):
 
     Compressed only if a bond exceeds ``d_max``.
     """
-    return _maybe_compress(_product(a, u), d_max)
+    _check_product(a, u)
+    return _maybe_compress(_Pending([(a, u)]), d_max)
 
 
-def multiply_add(a, u, v, d_max=None):
-    """a @ u + v with one compression, only if a bond exceeds ``d_max``.
+def step_operator(a, k, u, v=None):
+    """The Lanczos step (A - alpha I) u + v, alpha = Re<u, A u>, pending for ``compress``.
 
-    The sum's first operand is the pending product, so a capped call builds
-    neither a @ u nor the sum whole: each site of both is built when the QR
-    sweep of ``compress`` reaches it.
+    ``(a, k)`` comes from ``identity_channel``; ``v`` (None for no term) is
+    -beta U_prev. ``compress(step, d_max)`` is then the whole step. Its QR
+    sweep carries R to the last bond, where R_u, the columns of channel k
+    of a @ u, hold u's own left parts, and R_au, all columns of a @ u, hold
+    a @ u's. So alpha = Re sum conj(R_u u_last) (R_au (a @ u)_last), summed
+    over the sector blocks (``_step_alpha``). It then shifts A's last site
+    by -alpha I at k and carries that site in. The report holds alpha, and
+    the output, whose sites 1..L-1 are right-orthonormal, carries its whole
+    norm on site 0.
     """
-    au = _product(a, u)
-    _check_sum([(ta.shape[1], tu.shape[2]) for ta, tu in zip(a.tensors, u.tensors)],
-               _phys_dims(v))
-    return _maybe_compress(_Pending(au, v, product=False), d_max)
-
-
-def _continues_as_identity(tensors, k):
-    """Whether index ``k`` of the first site's right bond continues as I (x) ... (x) I.
-
-    It does when, from row ``k``, each later site has one nonzero column,
-    holding exactly the identity, whose index is the next site's row.
-    """
-    for t in tensors[1:]:
-        row = t[k]
-        cols = np.flatnonzero(row.reshape(-1, row.shape[-1]).any(axis=0))
-        if cols.size != 1 or not np.array_equal(row[..., cols[0]], np.eye(t.shape[1])):
-            return False
-        k = cols[0]
-    return True
+    _check_product(a, u)
+    terms = [(a, u)]
+    if v is not None:
+        _check_sum([(ta.shape[1], tu.shape[2]) for ta, tu in zip(a.tensors, u.tensors)],
+                   _phys_dims(v))
+        terms.append((v,))
+    return _Pending(terms, channel=k)
 
 
 def identity_channel(a):
-    """(a', k): ``a`` as a chain ``a'`` whose first-bond index ``k`` continues as the identity.
+    """(a', k): ``a`` as a chain ``a'`` whose last site's left-bond index ``k``
+    has left part I (x) ... (x) I.
 
-    That index lets ``shift`` form a + cI at a's own bond. Every ``models``
-    Hamiltonian has one (its last channel), and ``a'`` is ``a``. A chain
-    without one gets one appended: ``a'`` is the direct sum of ``a`` and
-    0 (x) I (x) ... (x) I, at one more bond. Site dimensions must be square.
+    It does when, from column ``k`` of site L-2 down to site 0, each site's
+    column has one nonzero row, holding exactly the identity, whose index is
+    the column to follow on the site before. Then adding c I to the last
+    site's entry at ``k`` adds c I to the chain at a's own bond (``shift``).
+    Every ``models`` Hamiltonian has one (channel 0), and ``a'`` is ``a``.
+    A chain without one gets one appended: ``a'`` is the direct sum of ``a``
+    and I (x) ... (x) I (x) 0, at one more bond. Site dimensions must be
+    square.
     """
-    first = a.tensors[0]
-    for k in range(first.shape[3]):
-        if _continues_as_identity(a.tensors, k):
+    last = a.tensors[-1]
+    for k in range(last.shape[0]):
+        col = k
+        for t in reversed(a.tensors[:-1]):
+            column = t[..., col]
+            rows = np.flatnonzero(column.reshape(column.shape[0], -1).any(axis=1))
+            if rows.size != 1 or not np.array_equal(column[rows[0]], np.eye(t.shape[1])):
+                break
+            col = rows[0]
+        else:
             return a, k
-    zero_identity = Mpo([np.zeros((1, *first.shape[1:3], 1))]
-                        + [np.eye(t.shape[1]).reshape(1, *t.shape[1:3], 1) for t in a.tensors[1:]])
-    grown, _ = add(a, zero_identity)
-    return grown, first.shape[3]
+    identity_zero = Mpo([np.eye(t.shape[1]).reshape(1, *t.shape[1:3], 1) for t in a.tensors[:-1]]
+                        + [np.zeros((1, *last.shape[1:3], 1))])
+    grown, _ = add(a, identity_zero)
+    return grown, last.shape[0]
 
 
 def shift(a, k, c):
     """a + c I, with ``(a, k)`` from ``identity_channel``; bonds unchanged.
 
-    Index ``k`` of the first bond continues as I (x) ... (x) I, so adding
-    c I to site 0's entry at ``k`` adds c times the identity on the chain.
+    Index ``k`` of the last site's left bond has left part I (x) ... (x) I,
+    so adding c I to the last site's entry at ``k`` adds c times the
+    identity on the chain.
     """
-    first = a.tensors[0].astype(np.result_type(a.tensors[0], c))
-    first[0, :, :, k] += c * np.eye(first.shape[1])
-    return Mpo([first] + a.tensors[1:])
+    last = a.tensors[-1].astype(np.result_type(a.tensors[-1], c))
+    last[k, :, :, 0] += c * np.eye(last.shape[1])
+    return Mpo(a.tensors[:-1] + [last])
 
 
 def _site_product(ta, tu):
@@ -435,10 +465,10 @@ def compress(u, d_max):
     into an even and an odd sector, readable from the exact zero pattern of
     the site tensors (the parity of |o><i| is o xor i, and an all-zero index
     is a wildcard). The QR sweep reads each site's labels (``_scan_site``)
-    as it builds the site, before R is carried in; a site that is not graded
-    sends the chain back through the sweep as one sector. Every site matrix
-    is then block diagonal, so each QR and SVD runs once per sector on a
-    block about half the size.
+    as it builds the site's blocks, before R is carried in; a site that is
+    not graded sends the chain back through the sweep as one sector. Every
+    site matrix is then block diagonal, so each QR and SVD runs once per
+    sector on a block about half the size.
     The two sectors' singular values are merged under the keep rule applied
     once across both, which is the same optimal truncation up to ties; the
     discarded weight is what each block dropped plus what the merge dropped.
@@ -452,59 +482,76 @@ def compress(u, d_max):
     compression or in none. An ungraded chain, or a smaller cap, is one
     sector: the QR sweep runs it as the one block ``_WHOLE`` of its blocked
     loop, and the SVD sweep keeps a branch for it (``_svd_sweep`` says why).
-    A one-site chain has no internal bond, so neither loop runs and the
-    result shares its site.
+    A one-site chain has no internal bond, so neither loop runs.
+
+    A Lanczos step (``step_operator``) is one call: the report holds its
+    alpha, read off the last carry of the QR sweep, and the output's norm
+    sits on its first site, since the SVD sweep leaves sites 1..L-1
+    right-orthonormal.
 
     Memory: the uncompressed (A - alpha I) U - beta U_prev of bond w*D + D
     is the largest object of a Lanczos step. A capped ``add``, ``multiply``
-    or ``multiply_add`` passes its operands instead (``_Pending``; 7.5 MB
-    less peak RSS on an LMG L=12, cap 60 sweep): the QR sweep builds each
-    site when R is to be carried into it, labels it and drops it right
-    after, so the labels come from one scan of each site as it is built.
-    ``multiply_add``'s product is pending inside its sum, so its site is
-    built only then too; building the product whole first read 75.5-75.9
-    MB of peak RSS on that sweep, against 71.6-72.0 MB. A capped call then
-    peaks at about its Q factors plus one site: split, 0.58-0.61x the
-    uncompressed operator's bytes at L=12, cap 60 (the sites are block
-    diagonal, so Q is half the operator); in one sector, where Q is as
-    large as the sites, 0.99-1.01x there and 1.05-1.15x at L=8, cap 24. A
-    plain ``u`` is only read, never mutated.
+    or step passes its operands instead (``_Pending``; 7.5 MB less peak RSS
+    on an LMG L=12, cap 60 sweep): the QR sweep builds each site's blocks
+    when R is to be carried into them, labels them and drops them right
+    after, so the labels come from one scan of each block as it is built.
+    An inner site of a sum is never built whole: R is carried into each
+    term's block by its own GEMM (``_carry``), so no zero-filled site
+    exists. The product's block is built only then too; building the
+    product whole first read 75.5-75.9 MB of peak RSS on that sweep, against
+    71.6-72.0 MB. A capped call then peaks at about its Q factors plus one
+    site: split, 0.58-0.61x the uncompressed operator's bytes at L=12, cap
+    60 (the sites are block diagonal, so Q is half the operator); in one
+    sector, where Q is as large as the sites, 0.99-1.01x there and
+    1.05-1.15x at L=8, cap 24. A plain ``u`` is only read, never mutated.
     """
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
     # a plain input's sites are only read: it is never mutated
-    sweep = _qr_sweep(u.site, u.length, d_max >= _SECTOR_MIN_D)
+    op = u if isinstance(u, _Pending) else _Pending([(u,)])
+    sweep = _qr_sweep(op, d_max >= _SECTOR_MIN_D)
     if sweep is None:  # a site is not graded: the chain is one sector
-        sweep = _qr_sweep(u.site, u.length, False)
-    ts, q_blocks, bonds, right = sweep
+        sweep = _qr_sweep(op, False)
+    ts, q_blocks, bonds, right, alpha = sweep
     discarded = _svd_sweep(ts, right, q_blocks, bonds, d_max)
-    return Mpo(ts), CompressionReport(discarded)
+    return Mpo(ts), CompressionReport(discarded, alpha)
 
 
-def _qr_sweep(site, length, split):
-    """Left-to-right QR sweep of ``compress`` over the sites that ``site(i)`` returns.
+def _qr_sweep(op, split):
+    """Left-to-right QR sweep of ``compress`` over the pending sum ``op``.
 
     One loop for every chain: each site matrix is factorised per block, its
     parity blocks if ``split``, else the one block ``_WHOLE``, and every R
-    is carried into the next site by one ``np.matmul(..., out=)``. The fork
-    left is which blocks, decided in ``compress`` by ``_SECTOR_MIN_D``. Each
-    site is asked for once, when R is carried into it, and is dropped after
-    that; with ``split`` it is labelled first (``_scan_site``), and the
-    sweep returns None at the first site that is not graded. Otherwise it
-    returns the site list, every entry None but the last, which carries the
-    final R; each site's (shape, Q blocks), from which the SVD sweep
-    rebuilds it; the parity of the bond left of each site; and, with
-    ``split``, the parity of the last site's right bond.
+    is carried into the next site by ``_carry``, starting from the 1 x 1
+    identity. The fork left is which blocks, decided in ``compress`` by
+    ``_SECTOR_MIN_D``. Each site is asked for once, when R is carried into
+    it, and is dropped after that; with ``split`` it is labelled first
+    (``_scan_site``), and the sweep returns None at the first site that is
+    not graded. A Lanczos step reads alpha once R reaches its last bond
+    (``_step_alpha``), and shifts A before its last site is carried in.
+    Otherwise it returns the site list, every entry None but the last,
+    which carries the final R; each site's (shape, Q blocks), from which the
+    SVD sweep rebuilds it; the parity of the bond left of each site; with
+    ``split``, the parity of the last site's right bond; and the step's
+    alpha, None for any other sum.
     """
+    length = op.length
     ts = [None] * length
     bonds = [np.zeros(1, dtype=np.int8)]
     q_blocks = [None] * length
-    cur = site(0)
-    # (parity, live) of the right bond of the site being factorised, as built
-    label = _scan_site(cur, bonds[0], np.ones(1, dtype=bool)) if split else None
-    if split and label is None:
-        return None
-    for i in range(length - 1):
+    # (parity, live) of the left bond of the site that R is carried into
+    label = (bonds[0], np.ones(1, dtype=bool)) if split else None
+    rs, blocks = [np.ones((1, 1))], _WHOLE
+    alpha = None
+    for i in range(length):
+        if i == length - 1 and op.channel is not None:
+            alpha = _step_alpha(op, rs, blocks)
+            op = op.shifted(-alpha)
+        cur, label = _carry(op.parts(i), rs, blocks, label)
+        if cur is None:  # a site is not graded
+            return None
+        if i == length - 1:
+            break
         dl, po, pi, dr = cur.shape
         mat = cur.reshape(dl * po * pi, dr)
         blocks = _blocks(_row_parity(bonds[i]), label[0]) if split else _WHOLE
@@ -512,25 +559,79 @@ def _qr_sweep(site, length, split):
         del mat, cur
         # Q stays in its blocks until the SVD sweep multiplies U S into them.
         q_blocks[i] = ((dl, po, pi), [(rows, q) for (_, rows, _), (q, _) in zip(blocks, factors)])
-        nxt = site(i + 1)
-        if split:
-            label = _scan_site(nxt, *label)
-            if label is None:
-                return None
-        flat = nxt.reshape(dr, -1)
         rs = [r for _, r in factors]
-        # every sector's carry goes straight into one array: no per-sector copies
-        cur = np.empty((sum(r.shape[0] for r in rs), flat.shape[1]),
-                       dtype=np.result_type(flat, *rs))
-        off = 0
-        for (_, _, cols), r in zip(blocks, rs):
-            np.matmul(r, flat[cols], out=cur[off:off + r.shape[0]])
-            off += r.shape[0]
-        cur = cur.reshape(-1, *nxt.shape[1:])
-        del nxt, flat, factors
+        del factors
         bonds.append(np.repeat(np.int8([p for p, _, _ in blocks]), [r.shape[0] for r in rs]))
     ts[-1] = cur
-    return ts, q_blocks, bonds, label[0] if split else None
+    return ts, q_blocks, bonds, label[0] if split else None, alpha
+
+
+def _reach(cols, left, n):
+    """(positions in ``cols``, rows of a block) of the columns in [left, left + n).
+
+    ``cols`` is a sorted index array of a sector, or ``_WHOLE``'s slice.
+    """
+    if isinstance(cols, slice):
+        return slice(left, left + n), slice(None)
+    lo, hi = np.searchsorted(cols, (left, left + n))
+    return slice(lo, hi), cols[lo:hi] - left
+
+
+def _carry(parts, rs, blocks, label):
+    """R carried into one site, given as ``parts`` (block, left offset, right offset).
+
+    Each sector's R multiplies only the rows of each block that it reaches,
+    one GEMM per block and sector, into the block's own columns of the
+    carried site. With ``label``, the (parity, live) of the site's left
+    bond, it returns the carried site and its right bond's label, or (None,
+    None) if a block is not graded; without, the carried site and None.
+    """
+    po, pi = parts[0][0].shape[1:3]
+    width = sum(t.shape[3] for t, _, _ in parts)
+    out = np.empty((sum(r.shape[0] for r in rs), po, pi, width),
+                   dtype=np.result_type(*rs, *(t for t, _, _ in parts)))
+    labels = []
+    for t, left, right in parts:
+        n, rn = t.shape[0], t.shape[3]
+        if label is not None:
+            labels.append(_scan_site(t, label[0][left:left + n], label[1][left:left + n]))
+            if labels[-1] is None:
+                return None, None
+        flat = t.reshape(n, -1)
+        off = 0
+        for (_, _, cols), r in zip(blocks, rs):
+            pos, rows = _reach(cols, left, n)
+            dst = out[off:off + r.shape[0], :, :, right:right + rn]
+            if rn == width:  # the block spans the site: carry straight into it
+                np.matmul(r[:, pos], flat[rows], out=dst.reshape(r.shape[0], -1))
+            else:
+                dst[...] = (r[:, pos] @ flat[rows]).reshape(dst.shape)
+            off += r.shape[0]
+    if label is not None:
+        label = tuple(np.concatenate(x) for x in zip(*labels))
+    return out, label
+
+
+def _step_alpha(op, rs, blocks):
+    """Re<u, A u> of the step ``op`` from the R factors carried to its last bond.
+
+    The sweep has written sites 0..L-2 of the step as Q R, Q orthonormal
+    across all sectors. A's left part at channel k is I (x) ... (x) I, so
+    the columns (k, .) of the product's block are u's own left parts: u = Q
+    R_u u_last and A u = Q R_au (A u)_last, and alpha sums their overlap
+    over the sectors.
+    """
+    (a, u), k = op.terms[0], op.channel
+    tu = u.tensors[-1]
+    au = _site_product(a.tensors[-1], tu)
+    au = au.reshape(au.shape[0], -1)
+    tu = tu.reshape(tu.shape[0], -1)
+    alpha = 0.0
+    for (_, _, cols), r in zip(blocks, rs):
+        pos_u, rows_u = _reach(cols, k * tu.shape[0], tu.shape[0])
+        pos_au, rows_au = _reach(cols, 0, au.shape[0])
+        alpha += np.vdot(r[:, pos_u] @ tu[rows_u], r[:, pos_au] @ au[rows_au]).real
+    return float(alpha)
 
 
 def _svd_sweep(ts, right, q_blocks, bonds, d_max):

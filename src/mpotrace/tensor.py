@@ -83,10 +83,18 @@ def kept_rank(s, max_rank):
     The fewest leading values, at most ``max_rank`` and at least one, whose
     dropped tail holds sum_{j>=k} s_j^2 <= DISCARD_EPS * sum(s^2). The weights
     are (s/s[0])^2, so a matrix of large norm cannot overflow them.
+
+    Most calls keep m = min(max_rank, n) values without summing the tail:
+    each weight is at most 1, so sum(w) <= n, and a weight w_{m-1} >
+    DISCARD_EPS * n alone outweighs the tail that dropping it would allow.
     """
     s = np.asarray(s)
     if not s[0] > 0.0:
         return 1
+    m = min(int(max_rank), s.size)
+    r = s[m - 1] / s[0]
+    if r * r > DISCARD_EPS * s.size:
+        return m
     w = (s / s[0]) ** 2
     tail = np.cumsum(w[::-1])[::-1]  # tail[k] = sum(w[k:]), summed from the smallest up
     rank = int(np.count_nonzero(tail > DISCARD_EPS * tail[0]))

@@ -73,3 +73,18 @@ def test_capped_products_and_sums_are_traced_compressions():
         exact, _ = call(*args)
         assert tracer.stats["mpo.compress.weight_in"] == \
             pytest.approx(mpotrace.frobenius_norm(exact) ** 2, rel=1e-10)
+
+
+@pytest.mark.parametrize("k_max", [5, 12])
+def test_a_traced_run_is_its_step_compressions_and_three_norms(k_max):
+    # a Lanczos step is one compression and nothing else; the only norms are
+    # the start's and the two of the Hermiticity check, at any K
+    length = 8
+    with _load("tracing").Tracer(mpotrace) as tracer:
+        run = mpotrace.lanczos.run_lanczos(mpotrace.ising_mpo(length, 1.0, 1.0),
+                                           mpotrace.identity_block(length),
+                                           mpotrace.LanczosConfig(k_max, 32))
+    assert run.projection.k == k_max
+    assert tracer.stats["mpo.compress.calls"] == k_max + 1
+    assert tracer.stats["mpo.frobenius_norm.calls"] == 3
+    assert tracer.stats["mpo.inner_product.calls"] == 3

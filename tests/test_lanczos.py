@@ -14,8 +14,10 @@ from mpotrace import (
     identity_block,
     inner_product,
     ising_mpo,
+    lmg_mpo,
     load_run,
     mpo,
+    projector_block,
     run_lanczos,
     save_run,
     scale,
@@ -206,8 +208,68 @@ def test_each_step_compresses_once(monkeypatch):
     monkeypatch.setattr(mpo, "compress", counted)
     run = run_lanczos(ising_mpo(8, 1.0, 1.0), identity_block(8), LanczosConfig(10, 32))
     assert run.projection.k == 10
-    # at most one per step, plus the Hermiticity check's
-    assert len(calls) <= run.projection.k + 1
+    # one per step, below the cap too, plus the Hermiticity check's
+    assert len(calls) == run.projection.k + 1
+
+
+def _graded_but_one_odd_term(length):
+    """Ising plus 0.3 sx on site 4: graded site by site, but the even and the
+    odd term meet on the last site's right bond, so the split sweep fails
+    there and the step is swept again as one sector."""
+    sx = [np.eye(2)] * length
+    sx[3] = 0.3 * np.array([[0.0, 1.0], [1.0, 0.0]])
+    odd = Mpo([m.reshape(1, 2, 2, 1) for m in sx])
+    return mpo.add(ising_mpo(length, 1.0, 1.0), odd)[0]
+
+
+# name: (H, start, d_max, graded); a cap of 32 or more splits a graded chain.
+# From a projector, Ising and the DM chain have alpha away from 0.
+_STEP_PATHS = {
+    "lmg-split": (lmg_mpo(10, 0.3), identity_block(10), 40, True),
+    "ising-split": (ising_mpo(10, 1.0, 1.0), projector_block(10, [(5, 0)]), 32, True),
+    "ising-one-sector": (ising_mpo(8, 1.0, 0.7), projector_block(8, [(4, 1)]), 16, True),
+    "dm-chain-complex-split": (dm_chain_mpo(8, 1.0, 0.7, 0.5), projector_block(8, [(2, 0)]),
+                               32, True),
+    "no-identity-channel": (random_hermitian_mpo(np.random.default_rng(9), 6, 3),
+                            identity_block(6), 16, False),
+    "ungraded-re-sweep": (_graded_but_one_odd_term(8), identity_block(8), 32, False),
+}
+
+
+@pytest.mark.parametrize("name", list(_STEP_PATHS))
+def test_step_alpha_and_beta_are_the_transfer_contractions(monkeypatch, name):
+    h, start, d_max, graded = _STEP_PATHS[name]
+    assert (mpo._bond_parities(h.tensors) is not None) == graded
+    if name == "no-identity-channel":
+        assert mpo.identity_channel(h)[0].bond_dims != h.bond_dims  # one is appended
+    want_alphas, norms, sweeps = [], [], set()
+    compress, qr_sweep = mpo.compress, mpo._qr_sweep
+
+    def recorded(op, split):
+        out = qr_sweep(op, split)
+        sweeps.add((split, out is None))
+        return out
+
+    def checked(u, d_max):
+        out = compress(u, d_max)
+        if isinstance(u, mpo._Pending) and u.channel is not None:
+            vec = u.terms[0][1]
+            want_alphas.append(mpo.expectation(vec, h, vec).real)
+            norms.append(mpo.frobenius_norm(out[0]))
+        return out
+
+    monkeypatch.setattr(mpo, "compress", checked)
+    monkeypatch.setattr(mpo, "_qr_sweep", recorded)
+    run = run_lanczos(h, start, LanczosConfig(16, d_max))
+    # (split, gave up): the path the name says was taken
+    assert ((True, False) in sweeps) == name.endswith("split")
+    assert ((True, True) in sweeps) == (d_max >= 32 and not graded)
+    alphas, betas = run.projection.alphas, run.projection.betas
+    assert run.projection.k == 16 and len(want_alphas) == 16
+    scale = max(1.0, np.max(np.abs(want_alphas)), np.max(norms))
+    assert np.max(np.abs(alphas - want_alphas)) <= 1e-13 * scale
+    # the norm of step i's vector is beta_{i+1}
+    assert np.max(np.abs(betas - norms[:-1])) <= 1e-13 * scale
 
 
 def test_truncation_is_logged():

@@ -57,6 +57,40 @@ def test_kept_rank_bounds_the_dropped_tail_by_eps_of_the_weight(share, kept):
     assert tensor.kept_rank(s, 10) == kept
 
 
+def _full_keep_rule(s, max_rank):
+    """``kept_rank`` without its shortcut: the tail sum, on every call."""
+    if not s[0] > 0.0:
+        return 1
+    w = (s / s[0]) ** 2
+    tail = np.cumsum(w[::-1])[::-1]
+    rank = int(np.count_nonzero(tail > tensor.DISCARD_EPS * tail[0]))
+    return min(int(max_rank), max(rank, 1))
+
+
+def test_kept_rank_shortcut_keeps_what_the_full_rule_keeps():
+    rng = np.random.default_rng(17)
+    eps = tensor.DISCARD_EPS
+    spectra = [np.zeros(5), np.array([1.0]), np.array([2.0, 0.0, 0.0]), np.full(7, 3.0),
+               np.array([1.0, 1.0, 1e-8, 1e-8, 1e-9, 0.0, 0.0])]
+    for n in (1, 2, 3, 8, 40, 120):
+        spectra.append(np.sort(10.0 ** rng.uniform(-12, 0, n))[::-1])  # random
+        spectra.append(np.repeat(np.sort(rng.random(n))[::-1], 2))  # ties
+        spectra.append(np.append(np.sort(rng.random(n))[::-1], np.zeros(3)))  # zeros
+        # a last weight on either side of the shortcut's eps * n, and of the
+        # rule's own eps * sum(w), which a flat bulk brings close to eps * n
+        for factor in (0.01, 0.5, 0.999999, 1.000001, 2.0):
+            for bulk in (np.sort(rng.random(n + 1))[::-1], np.ones(n + 1)):
+                bulk[0] = 1.0
+                spectra.append(np.append(bulk, np.sqrt(factor * eps * (n + 2))))
+    taken = set()
+    for s in spectra:
+        for cap in (1, 2, s.size // 2 + 1, s.size, s.size + 5):  # n >= cap and n < cap
+            assert tensor.kept_rank(s, cap) == _full_keep_rule(s, cap), (s, cap)
+            m = min(cap, s.size)
+            taken.add(bool(s[0] > 0.0 and (s[m - 1] / s[0]) ** 2 > eps * s.size))
+    assert taken == {True, False}  # both branches ran
+
+
 def test_truncated_svd_of_a_large_norm_matrix_does_not_overflow():
     rng = np.random.default_rng(3)
     m = rng.standard_normal((6, 4))
