@@ -44,9 +44,11 @@ from . import tensor
 DENSE_GUARD = 14
 
 # Bond caps from which compress factorises the parity sectors of each bond
-# separately. Below it the per-sector assembly costs more than the half-size
-# factorisations save: splitting at every cap made LMG and Ising L=8 runs
-# (K=40) 1.13-1.14x slower at cap 24 and 1.53-1.54x at cap 16.
+# separately. Below it the per-sector assembly costs about what the half-size
+# factorisations save, and which wins depends on the runs. Split, single K=40
+# runs at cap 24 took 0.79-0.94x the one-sector time (LMG and Ising, L=8 and
+# 10), but 1.14x at cap 16 (LMG L=8), and a cache fill of 30 LMG L=8 runs at
+# cap 24 (h = 0.04..1.2, two workers) took 1.13x the CPU time.
 _SECTOR_MIN_D = 32
 # Z2 parity of the single-site operator |o><i| on a spin-1/2 site.
 _PHYS_PARITY = np.array([[0, 1], [1, 0]], dtype=np.int8)

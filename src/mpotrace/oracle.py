@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mpo
-from .thermal import ThermalSweepResult
+from .thermal import ThermalSweepResult, fidelity
 
 # 2^12 = 4096-dimensional eigensolve is the default ceiling.
 SPECTRUM_GUARD = 12
@@ -62,8 +62,10 @@ def exact_observables(spectrum, grid, czz_sites=()):
     sz-sz correlators, which use the eigenvectors. sz is diagonal in the
     product basis, so <n|sz_i|n> = sum_k |v_kn|^2 z_i(k), one matrix-vector
     product per operator in place of a dense operator product. F_T is
-    sum_n sqrt(p_n p'_n) and D_T sum_n |p_n - p'_n| over the Boltzmann
-    weights of the pair, which stay finite wherever log Z does.
+    sum_n sqrt(p_n p'_n), normalised by the pair's own sums as in the
+    quadrature path (``thermal.fidelity``), and D_T sum_n |p_n - p'_n|,
+    over the Boltzmann weights of the pair, which stay finite wherever
+    log Z does.
     """
     evals = spectrum.eigenvalues
     length = spectrum.length
@@ -84,7 +86,7 @@ def exact_observables(spectrum, grid, czz_sites=()):
         s[idx] = (beta * f_over_z + lz) / length
         c[idx] = beta ** 2 / length * float(np.dot(p, (evals - f_over_z) ** 2))
         p1 = _boltzmann(evals, b1)
-        fid[idx] = float(np.sum(np.sqrt(p * p1)))
+        fid[idx] = fidelity(p, p1)
         dist[idx] = float(np.sum(np.abs(p - p1)))
     czz = {}
     if czz_sites:

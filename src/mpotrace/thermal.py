@@ -1,19 +1,21 @@
 """Thermal-equilibrium observables as quadrature functionals of H.
 
-Every thermal quantity reduces one Gibbs distribution: ``_gibbs(rule, beta)``
-returns the weights p_j = w_j e^{-beta node_j} / Z on a Gauss rule and the
-log of Z e^{beta node_0}, with node_0 the rule's minimum node. It is the only
-place that checks beta or exponentiates nodes, and with that shift p_j <= 1
-and nothing overflows at any beta * ||H||.
+Every thermal quantity reduces one Gibbs distribution: ``_gibbs(rule, beta,
+shifted)`` returns the weights p_j = w_j e^{-beta node_j} / Z on a Gauss rule
+and the log of Z e^{beta node_0}, with node_0 the rule's minimum node. It is
+the only place that exponentiates nodes, and with that shift p_j <= 1 and
+nothing overflows at any beta * ||H||.
 
-``_per_beta`` holds the one per-temperature loop. It evaluates each (rule, beta)
-once and reduces that (g, p) to log Z, the energy and the centred variance
+``_per_beta`` holds the one per-temperature loop. It checks each beta array
+once, forms the rule's shifted nodes once, and evaluates each (rule, beta)
+once, reducing that (g, p) to log Z, the energy and the centred variance
 (c = beta^2 Var H / L, as in ``oracle.exact_observables``: non-negative, and
-accurate when c << (F/Z)^2). Given a partner grid it also evaluates beta' and
-the midpoint, for F_T = Z(mid) / sqrt(Z Z') and D_T = sum_j |p_j - p'_j| with
-the same p. F_T is taken from the shifted logs, in which the -beta node_0
-terms cancel, so it stays finite when beta node_0 is near the float range.
-So a sweep point's base columns cost 3 evaluations per temperature, and
+accurate when c << (F/Z)^2). Given a partner grid it also evaluates beta',
+and the two distributions give both pair columns: D_T = sum_j |p_j - p'_j|
+and F_T = sum_j sqrt(p_j p'_j), normalised by the pair's own sums
+(``fidelity``), the same formula the oracle uses. Both are sums of weights
+p_j <= 1, so they stay finite when beta node_0 is near the float range.
+So a sweep point's base columns cost 2 evaluations per temperature, and
 every function here that takes betas reads log Z from it.
 A sweep point runs one start set: {I}, or the four projectors P_a[i] P_b[j]
 of each correlator pair (``zz_blocks``), which sum to the identity.
@@ -93,18 +95,16 @@ def _require_identity_start(run):
         )
 
 
-def _gibbs(rule, beta):
+def _gibbs(rule, beta, shifted):
     """(g, p) of e^{-beta H} on a Gauss rule with ascending nodes.
 
     p_j = w_j e^{-beta (node_j - node_0)} / sum_k w_k e^{-beta (node_k - node_0)}
     with node_0 the minimum node, and g the log of that sum, so that
-    log Z = -beta node_0 + g.
+    log Z = -beta node_0 + g. ``shifted`` holds the rule's node_j - node_0,
+    and ``_check_betas`` has passed beta.
     """
-    if beta < 0.0 or not math.isfinite(beta):
-        raise ValueError("beta must be finite and >= 0")
-    nodes = rule.nodes
-    m = rule.weights * np.exp(-beta * (nodes - nodes[0]))
-    tot = float(m.sum())
+    m = rule.weights * np.exp(-beta * shifted)
+    tot = float(np.add.reduce(m))
     if not math.isfinite(tot) or tot <= 0.0:
         raise NumericalError("degenerate quadrature mass; run looks corrupt")
     return float(np.log(tot)), m / tot
@@ -114,40 +114,60 @@ def _as_betas(betas):
     return np.atleast_1d(np.asarray(betas, dtype=float))
 
 
+def _check_betas(betas):
+    if not np.all(np.isfinite(betas) & (betas >= 0.0)):
+        raise ValueError("beta must be finite and >= 0")
+
+
+def fidelity(p, p1):
+    """F_T = sum_j sqrt(p_j p'_j) / sqrt(sum_j p_j sum_j p'_j) of two
+    distributions on the same points, such as two temperatures' Gibbs weights.
+
+    Normalising by the pair's own sums, rather than by 1, makes equal
+    arguments give exactly 1.0 however their sum rounds; Cauchy-Schwarz
+    keeps it <= 1 up to roundoff.
+    """
+    add = np.add.reduce
+    return float(add(np.sqrt(p * p1))) / math.sqrt(float(add(p)) * float(add(p1)))
+
+
 def _per_beta(rule, betas, pair_betas=None):
     """(log Z, F/Z, centred variance of H) per beta, and (F_T, D_T) per pair.
 
     The one per-temperature loop: ``_gibbs`` once per beta, whose p gives the
     mean sum_j p_j node_j and the variance sum_j p_j (node_j - mean)^2. With
-    ``pair_betas`` it also takes ``_gibbs`` at beta' and at the midpoint, and
-    the same p gives D_T. F_T is exp(g_mid - (g + g') / 2) in ``_gibbs``'s
-    shifted logs g, whose -beta node_0 terms cancel exactly between the
-    midpoint and the pair. Both arrays are 1-d float arrays of equal length.
+    ``pair_betas`` it also takes ``_gibbs`` at beta', and the two
+    distributions give F_T (``fidelity``) and D_T = sum_j |p_j - p'_j|. Both
+    arrays are 1-d float arrays of equal length. The loop's sums call
+    ``np.add.reduce``: the sum that ``ndarray.sum`` computes, without the
+    method's Python wrapper, which costs about a quarter of a K = 40 sum.
     """
+    _check_betas(betas)
     nodes = rule.nodes
+    node0 = float(nodes[0])
+    shifted = nodes - nodes[0]
     n = betas.size
     log_z = np.empty(n)
     mean = np.empty(n)
     var = np.empty(n)
     if pair_betas is not None:
-        g_pair = np.empty(n)
+        _check_betas(pair_betas)
+        partners = pair_betas.tolist()
+        fid = np.empty(n)
         distance = np.empty(n)
-    for idx in range(n):
-        beta = betas[idx]
-        g, p = _gibbs(rule, beta)
-        log_z[idx] = -beta * float(nodes[0]) + g
+    for idx, beta in enumerate(betas.tolist()):
+        g, p = _gibbs(rule, beta, shifted)
+        log_z[idx] = -beta * node0 + g
         mean[idx] = mu = float(p.dot(nodes))
         d = nodes - mu
         var[idx] = float(p.dot(d * d))
         if pair_betas is not None:
-            b1 = pair_betas[idx]
-            g1, p1 = _gibbs(rule, b1)
-            g_mid, _ = _gibbs(rule, 0.5 * (beta + b1))
-            g_pair[idx] = g_mid - 0.5 * (g + g1)
-            distance[idx] = np.abs(p - p1).sum()
+            _, p1 = _gibbs(rule, partners[idx], shifted)
+            fid[idx] = fidelity(p, p1)
+            distance[idx] = np.add.reduce(np.abs(p - p1))
     if pair_betas is None:
         return log_z, mean, var
-    return log_z, mean, var, np.exp(g_pair), distance
+    return log_z, mean, var, fid, distance
 
 
 def partition_traces(run, betas):
@@ -170,12 +190,13 @@ def entropy_density(log_z, f_over_z, beta, length):
 def pair_observables(run, betas, pair_betas):
     """(F_T, D_T) of each pair (beta, beta') of two equal-length beta arrays.
 
-    F_T = Z((b+b')/2) / sqrt(Z(b) Z(b')), taken in the log domain;
-    Cauchy-Schwarz on the quadrature measure keeps it <= 1. D_T is the
-    Schatten-1 distance sum_j |p_j - p'_j| between the Gibbs weights of the
-    two states of the same H; each weight is at most 1, so it cannot
-    overflow. Equal arguments give exactly 1 and exactly 0. Any finite
-    beta >= 0 is accepted: b' = 0 is the infinite-temperature state.
+    Both read the Gibbs weights p and p' of the two states of the same H on
+    the run's rule. F_T = sum_j sqrt(p_j p'_j), normalised by the pair's own
+    sums (``fidelity``), equals Z((b+b')/2) / sqrt(Z(b) Z(b')) on the rule;
+    Cauchy-Schwarz keeps it <= 1. D_T is the Schatten-1 distance
+    sum_j |p_j - p'_j|. Each weight is at most 1, so neither can overflow.
+    Equal arguments give exactly 1 and exactly 0. Any finite beta >= 0 is
+    accepted: b' = 0 is the infinite-temperature state.
     """
     _require_identity_start(run)
     b0 = _as_betas(betas)

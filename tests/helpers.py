@@ -204,21 +204,19 @@ def reference_partition_traces(run, betas):
 def reference_pair_observables(run, betas, pair_betas):
     """(F_T, D_T) per pair (beta, beta'), each state evaluated on its own.
 
-    F_T = Z(mid) / sqrt(Z Z') from the shifted logs, whose beta node_0
-    terms cancel.
+    F_T = sum_j sqrt(p_j p'_j) / sqrt(sum_j p_j sum_j p'_j) over the pair's
+    Gibbs weights.
     """
     b0 = np.atleast_1d(np.asarray(betas, dtype=float))
     b1 = np.atleast_1d(np.asarray(pair_betas, dtype=float))
-    g0 = np.empty(b0.size)
-    g1 = np.empty(b0.size)
-    g_mid = np.empty(b0.size)
+    fidelity = np.empty(b0.size)
     distance = np.empty(b0.size)
     for idx in range(b0.size):
-        g0[idx], p0 = reference_shifted_gibbs(run, b0[idx])
-        g1[idx], p1 = reference_shifted_gibbs(run, b1[idx])
-        g_mid[idx], _ = reference_shifted_gibbs(run, 0.5 * (b0[idx] + b1[idx]))
+        _, p0 = reference_shifted_gibbs(run, b0[idx])
+        _, p1 = reference_shifted_gibbs(run, b1[idx])
+        fidelity[idx] = np.sum(np.sqrt(p0 * p1)) / np.sqrt(np.sum(p0) * np.sum(p1))
         distance[idx] = np.sum(np.abs(p0 - p1))
-    return np.exp(g_mid - 0.5 * (g0 + g1)), distance
+    return fidelity, distance
 
 
 def reference_expectation(parts, z_run, betas):

@@ -4,13 +4,17 @@ import pytest
 from helpers import SZ, dense_lmg, reference_czz
 from mpotrace import (
     BetaGrid,
+    LanczosConfig,
     Mpo,
     add,
+    exact_bond_cap,
     exact_observables,
     exact_spectrum,
     identity_block,
     ising_mpo,
     lmg_mpo,
+    run_lanczos,
+    sweep_observables,
     to_dense,
 )
 from mpotrace.thermal import LN2
@@ -106,3 +110,17 @@ def test_correlators_from_the_sz_diagonal_match_dense_operators(family, length):
     want = reference_czz(spec, grid.betas, pairs)
     for pair in pairs:
         np.testing.assert_allclose(result.czz[pair], want[pair], rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("family", ["ising", "lmg"])
+def test_sweep_fidelity_at_the_exact_cap_equals_the_oracle(family):
+    # both take F_T as sum sqrt(p p') over the pair's own sums: on a rule
+    # that resolves the spectrum they agree to roundoff
+    length = 6
+    h = ising_mpo(length, 1.0, 1.0) if family == "ising" else lmg_mpo(length, 0.5)
+    cfg = LanczosConfig(k_max=30, d_max=exact_bond_cap(length))
+    run = run_lanczos(h, identity_block(length), cfg)
+    grid = BetaGrid.from_temperatures(np.array([0.1, 0.2, 0.6, 1.0, 3.0]), delta_t=0.05)
+    got = sweep_observables([run], grid, length)
+    want = exact_observables(exact_spectrum(h), grid)
+    np.testing.assert_allclose(got.fidelity, want.fidelity, rtol=0, atol=1e-12)

@@ -9,6 +9,7 @@ from helpers import (
     reference_expectation,
     reference_pair_observables,
     reference_partition_traces,
+    reference_shifted_gibbs,
     reference_zz_from_runs,
     site_op,
 )
@@ -174,6 +175,21 @@ def test_pair_observables_grid_matches_single_pairs(ising6_run):
     assert fid[1] == 1.0 and dist[1] == 0.0
 
 
+def test_pair_observables_at_equal_beta_are_exact_when_the_weights_do_not_sum_to_one(
+        single_site_run):
+    # a rule whose Gibbs weights sum to 1 only up to roundoff, at both betas:
+    # sum sqrt(p p) alone would miss 1.0, the pair's own normalisation does not
+    rng = np.random.default_rng(21)
+    rule = QuadratureRule(np.sort(rng.normal(size=40)), rng.random(40))
+    run = replace(single_site_run, quadrature=rule)
+    betas = np.array([1.7, 0.0])
+    for beta in betas:
+        _, p = reference_shifted_gibbs(run, beta)
+        assert np.sum(p) != 1.0 and np.sum(np.sqrt(p * p)) != 1.0
+    fid, dist = pair_observables(run, betas, betas)
+    assert np.array_equal(fid, [1.0, 1.0]) and np.array_equal(dist, [0.0, 0.0])
+
+
 def test_pair_observables_infinite_temperature_partner(single_site_run):
     betas = np.array([1.0, 3.0])
     fid, dist = pair_observables(single_site_run, betas, np.zeros(2))
@@ -193,22 +209,22 @@ def _count_gibbs(monkeypatch):
     calls = []
     original = thermal._gibbs
 
-    def counting(rule, beta):
+    def counting(rule, beta, *args):
         calls.append(rule)
-        return original(rule, beta)
+        return original(rule, beta, *args)
 
     monkeypatch.setattr(thermal, "_gibbs", counting)
     return calls
 
 
-def test_sweep_point_evaluates_three_gibbs_distributions_per_temperature(
+def test_sweep_point_evaluates_two_gibbs_distributions_per_temperature(
         ising6_run, monkeypatch):
-    # beta, its partner beta' and their midpoint: the state at beta is
-    # evaluated once and serves the moments and D_T alike
+    # beta and its partner beta': each state is evaluated once, and the two
+    # serve the moments, F_T and D_T alike
     calls = _count_gibbs(monkeypatch)
     grid = BetaGrid(np.array([0.2, 0.5, 0.9, 1.4, 2.0]), 0.05)
     sweep_observables([ising6_run], grid, 6)
-    assert len(calls) == 3 * 5
+    assert len(calls) == 2 * 5
 
 
 def test_correlator_reads_no_identity_run_and_each_part_once_per_temperature(
