@@ -26,7 +26,7 @@ from .thermal import BetaGrid
 
 # Cache keys carry only the model label and the run settings, so a change to
 # what a label builds, or to how a run truncates, must bump this.
-CACHE_VERSION = 7
+CACHE_VERSION = 8
 
 BASE_COLUMNS = ["model", "L", "param", "T", "logZ", "energy_density", "s", "c", "F_T", "D_T"]
 KNOWN_OUTPUTS = ("s", "c", "F_T", "D_T", "Czz")

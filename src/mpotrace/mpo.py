@@ -11,10 +11,13 @@ actually exceeds the cap. A capped ``add`` or ``multiply`` never builds its
 result whole: it hands ``compress`` the operands as a pending sum of terms,
 and ``compress`` carries R into each term's block of a site when its QR sweep
 reaches it, so a capped call holds the sweep's factors and one site, not the
-uncompressed operator. ``step_operator`` is the Lanczos step's pending
-(A - alpha I) u + v, whose alpha = Re<u, A u> the QR sweep reads off its
-last carry before it shifts A, through the identity channel that
-``identity_channel`` finds on A's last site (``shift``).
+uncompressed operator. No sweep forms Q: the QR sweep keeps only R, and
+the SVD sweep applies each uncompressed site to the right isometry it
+carries (``_Pending.apply_right``, a product in factored form) and R to
+that. ``step_operator`` is the Lanczos step's pending (A - alpha I) u + v,
+whose alpha = Re<u, A u> the QR sweep reads off its last carry before it
+shifts A, through the identity channel that ``identity_channel`` finds on
+A's last site (``shift``).
 
 Parity sectors: every shipped operator commutes with P = prod sz, so each
 bond index carries a Z2 parity that the exact zeros of the site tensors
@@ -33,6 +36,7 @@ operands promotes as usual and changes no value.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -45,10 +49,12 @@ DENSE_GUARD = 14
 
 # Bond caps from which compress factorises the parity sectors of each bond
 # separately. Below it the per-sector assembly costs about what the half-size
-# factorisations save, and which wins depends on the runs. Split, single K=40
-# runs at cap 24 took 0.79-0.94x the one-sector time (LMG and Ising, L=8 and
-# 10), but 1.14x at cap 16 (LMG L=8), and a cache fill of 30 LMG L=8 runs at
-# cap 24 (h = 0.04..1.2, two workers) took 1.13x the CPU time.
+# factorisations save, and which wins depends on the runs. With neither sweep
+# forming Q, split single K=40 runs (LMG h=0.5 and Ising J=g=1, L=8 and 10,
+# 12 interleaved pairs each, one BLAS thread) took 1.24-1.41x the one-sector
+# time at cap 16, 0.87-1.06x at cap 24 and 0.69-1.02x at cap 32, where LMG
+# L=8 is the one case not faster split. A cache fill of 30 LMG L=8 runs at
+# cap 24 (h = 0.04..1.2, two workers) took 1.16x the CPU time split.
 _SECTOR_MIN_D = 32
 # Z2 parity of the single-site operator |o><i| on a spin-1/2 site.
 _PHYS_PARITY = np.array([[0, 1], [1, 0]], dtype=np.int8)
@@ -109,13 +115,14 @@ class _Pending:
     The sum is their direct sum, so an inner site is block diagonal with one
     block per term. ``compress`` asks for each site's blocks (``parts``)
     when its QR sweep reaches it, reads their sector labels, carries R into
-    each block and drops them: the uncompressed operator never exists whole,
-    no zero-filled site is built, and the labels are those of the operator
-    it stands for. A Lanczos step also holds ``channel``, the index of A's
-    last left bond whose left part is I (x) ... (x) I: ``compress`` reads
-    alpha at that site and shifts A there (``shifted``). Only ``add``,
-    ``multiply``, ``step_operator`` and ``compress`` make one, and
-    ``_maybe_compress`` never returns it.
+    each block and drops them, and its SVD sweep asks for each site times
+    a matrix (``apply_right``): the uncompressed operator never exists
+    whole, no zero-filled site is built, and the labels are those of the
+    operator it stands for. A Lanczos step also holds ``channel``, the
+    index of A's last left bond whose left part is I (x) ... (x) I:
+    ``compress`` reads alpha at that site and shifts A there
+    (``shifted``). Only ``add``, ``multiply``, ``step_operator`` and
+    ``compress`` make one, and ``_maybe_compress`` never returns it.
     """
 
     __slots__ = ("terms", "channel")
@@ -171,6 +178,32 @@ class _Pending:
         for t, left, right in parts:
             out[left:left + t.shape[0], :, :, right:right + t.shape[3]] = t
         return out
+
+    def apply_right(self, i, x):
+        """Site ``i`` times ``x`` on its right bond, as a (left, out, in, k) array.
+
+        ``x`` maps the site's right bond to k columns. Each term meets the
+        rows of ``x`` at its right offset, or all of them at the last site,
+        where the terms share the boundary bond; the results stack by rows
+        at their left offsets, and add up at site 0, where the terms share
+        the left boundary. A product is applied in factored form
+        (``_product_right``), so its block is never built.
+        """
+        last = i == self.length - 1
+        ys, right = [], 0
+        for term in self.terms:
+            sites = [c.tensors[i] for c in term]
+            n = math.prod(t.shape[3] for t in sites)
+            xt = x if last else x[right:right + n]
+            right += n
+            if len(sites) == 1:
+                t, = sites
+                ys.append((t.reshape(-1, n) @ xt).reshape(*t.shape[:3], -1))
+            else:
+                ys.append(_product_right(*sites, xt))
+        if i == 0:
+            return sum(ys[1:], ys[0])
+        return np.concatenate(ys)
 
     def shifted(self, c):
         """The step with A + c I in place of A, and no channel left to read."""
@@ -377,6 +410,22 @@ def _site_product(ta, tu):
     return t.reshape(la * lu, po, pi, ra * ru)
 
 
+def _product_right(ta, tu, x):
+    """``_site_product(ta, tu)`` times ``x`` on its right bond, without building it.
+
+    ``x`` meets U's site over U's bond first, then A's site contracts over
+    the shared physical index and A's bond: the product's (la lu, ra ru)
+    block never exists.
+    """
+    la, po, m, ra = ta.shape
+    lu, _, pi, ru = tu.shape
+    k = x.shape[1]
+    z = np.matmul(tu.reshape(lu * m * pi, ru), x.reshape(ra, ru, k))  # (ra, lu m i, k)
+    z = z.reshape(ra, lu, m, pi, k).transpose(2, 0, 1, 3, 4).reshape(m * ra, lu * pi * k)
+    y = (ta.reshape(la * po, m * ra) @ z).reshape(la, po, lu, pi, k)
+    return y.transpose(0, 2, 1, 3, 4).reshape(la * lu, po, pi, k)
+
+
 def _row_parity(bond):
     """Parity of the rows (left, out, in) of a site matrix whose left bond has ``bond``."""
     return (bond[:, None, None] ^ _PHYS_PARITY).reshape(-1)
@@ -456,11 +505,21 @@ def compress(u, d_max):
     sectors, where each block and then their union apply the rule, at most
     twice that weight. Because of the canonicalization, each truncation is
     the bond-wise optimal one in Frobenius norm; the squared discarded
-    weight, that tail included, is reported per bond. Both
-    sweeps reach LAPACK through numpy (``np.linalg.qr`` in reduced mode,
-    ``tensor.truncated_svd``): importing scipy would more than double every
-    command's cold start, so it loads only if gesdd fails and the SVD falls
-    back to gesvd.
+    weight, that tail included, is reported per bond.
+
+    Neither sweep forms Q. The QR sweep keeps only R: it carries it into
+    the next site, and keeps it for the SVD sweep. That sweep carries X, the
+    map from the uncompressed right bond of the site at hand to the kept
+    bond. Y, the uncompressed site times X (``_Pending.apply_right``, a
+    product in factored form), gives the site's matrix as R Y, R of the
+    bond on its left, which is the Q U S a sweep over Q would have formed
+    there, less its Q; X moves one site left as Y times the Vh just kept.
+    Forming Q (LAPACK's orgqr) took longer than the factorisation itself:
+    ``np.linalg.qr`` of a 480 x 120 block takes 3.06 ms in reduced mode
+    against 1.17 ms with ``mode="r"`` (one BLAS thread). Both sweeps reach
+    LAPACK through numpy (``np.linalg.qr``, ``tensor.truncated_svd``):
+    importing scipy would more than double every command's cold start, so
+    it loads only if gesdd fails and the SVD falls back to gesvd.
 
     Parity sectors: an operator that commutes with P = prod sz (every
     shipped Hamiltonian, starting block and Krylov vector) splits each bond
@@ -469,8 +528,8 @@ def compress(u, d_max):
     is a wildcard). The QR sweep reads each site's labels (``_scan_site``)
     as it builds the site's blocks, before R is carried in; a site that is
     not graded sends the chain back through the sweep as one sector. Every
-    site matrix is then block diagonal, so each QR and SVD runs once per
-    sector on a block about half the size.
+    site matrix is then block diagonal, so each QR, SVD and product with R
+    runs once per sector on a block about half the size.
     The two sectors' singular values are merged under the keep rule applied
     once across both, which is the same optimal truncation up to ties; the
     discarded weight is what each block dropped plus what the merge dropped.
@@ -501,11 +560,12 @@ def compress(u, d_max):
     term's block by its own GEMM (``_carry``), so no zero-filled site
     exists. The product's block is built only then too; building the
     product whole first read 75.5-75.9 MB of peak RSS on that sweep, against
-    71.6-72.0 MB. A capped call then peaks at about its Q factors plus one
-    site: split, 0.58-0.61x the uncompressed operator's bytes at L=12, cap
-    60 (the sites are block diagonal, so Q is half the operator); in one
-    sector, where Q is as large as the sites, 0.99-1.01x there and
-    1.05-1.15x at L=8, cap 24. A plain ``u`` is only read, never mutated.
+    71.6-72.0 MB. A capped call then peaks at about one site of the QR
+    sweep with its blocks, or one Y, beside the R factors: 0.29-0.35x the
+    uncompressed operator's bytes at L=12, cap 60, split, and 0.41-0.42x
+    there in one sector; 0.55-0.57x at L=8, cap 24. Keeping Q for the SVD
+    sweep read 0.55-0.59x, 0.98-1.01x and 1.05-1.15x. A plain ``u`` is only
+    read, never mutated.
     """
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
@@ -514,8 +574,8 @@ def compress(u, d_max):
     sweep = _qr_sweep(op, d_max >= _SECTOR_MIN_D)
     if sweep is None:  # a site is not graded: the chain is one sector
         sweep = _qr_sweep(op, False)
-    ts, q_blocks, bonds, right, alpha = sweep
-    discarded = _svd_sweep(ts, right, q_blocks, bonds, d_max)
+    op, factors, right, alpha = sweep
+    ts, discarded = _svd_sweep(op, factors, right, d_max)
     return Mpo(ts), CompressionReport(discarded, alpha)
 
 
@@ -527,22 +587,23 @@ def _qr_sweep(op, split):
     is carried into the next site by ``_carry``, starting from the 1 x 1
     identity. The fork left is which blocks, decided in ``compress`` by
     ``_SECTOR_MIN_D``. Each site is asked for once, when R is carried into
-    it, and is dropped after that; with ``split`` it is labelled first
-    (``_scan_site``), and the sweep returns None at the first site that is
-    not graded. A Lanczos step reads alpha once R reaches its last bond
-    (``_step_alpha``), and shifts A before its last site is carried in.
-    Otherwise it returns the site list, every entry None but the last,
-    which carries the final R; each site's (shape, Q blocks), from which the
-    SVD sweep rebuilds it; the parity of the bond left of each site; with
-    ``split``, the parity of the last site's right bond; and the step's
-    alpha, None for any other sum.
+    it; with ``split`` it is labelled first (``_scan_site``), and the sweep
+    returns None at the first site that is not graded. A Lanczos step reads
+    alpha once R reaches its last bond (``_step_alpha``), and shifts A
+    before its last site is carried in, which is carried only to be
+    labelled. Only R is formed (``mode="r"``, LAPACK's geqrf without the
+    orgqr that builds Q), and nothing else of a site outlives its
+    factorisation. Otherwise it returns the pending sum (shifted, for a
+    step); each bond's R factors, as (parity, columns, R) per block, the
+    columns being those of the site left of the bond; with ``split``, the
+    parity of the last site's right bond; and the step's alpha, None for
+    any other sum.
     """
     length = op.length
-    ts = [None] * length
-    bonds = [np.zeros(1, dtype=np.int8)]
-    q_blocks = [None] * length
+    bond = np.zeros(1, dtype=np.int8)
+    factors = []
     # (parity, live) of the left bond of the site that R is carried into
-    label = (bonds[0], np.ones(1, dtype=bool)) if split else None
+    label = (bond, np.ones(1, dtype=bool)) if split else None
     rs, blocks = [np.ones((1, 1))], _WHOLE
     alpha = None
     for i in range(length):
@@ -556,16 +617,12 @@ def _qr_sweep(op, split):
             break
         dl, po, pi, dr = cur.shape
         mat = cur.reshape(dl * po * pi, dr)
-        blocks = _blocks(_row_parity(bonds[i]), label[0]) if split else _WHOLE
-        factors = [np.linalg.qr(mat[rows][:, cols]) for _, rows, cols in blocks]
+        blocks = _blocks(_row_parity(bond), label[0]) if split else _WHOLE
+        rs = [np.linalg.qr(mat[rows][:, cols], mode="r") for _, rows, cols in blocks]
         del mat, cur
-        # Q stays in its blocks until the SVD sweep multiplies U S into them.
-        q_blocks[i] = ((dl, po, pi), [(rows, q) for (_, rows, _), (q, _) in zip(blocks, factors)])
-        rs = [r for _, r in factors]
-        del factors
-        bonds.append(np.repeat(np.int8([p for p, _, _ in blocks]), [r.shape[0] for r in rs]))
-    ts[-1] = cur
-    return ts, q_blocks, bonds, label[0] if split else None, alpha
+        factors.append([(p, cols, r) for (p, _, cols), r in zip(blocks, rs)])
+        bond = np.repeat(np.int8([p for p, _, _ in blocks]), [r.shape[0] for r in rs])
+    return op, factors, label[0] if split else None, alpha
 
 
 def _reach(cols, left, n):
@@ -636,54 +693,63 @@ def _step_alpha(op, rs, blocks):
     return float(alpha)
 
 
-def _svd_sweep(ts, right, q_blocks, bonds, d_max):
-    """Right-to-left truncating SVD sweep of ``compress``, in place on ``ts``.
+def _svd_sweep(op, factors, right, d_max):
+    """Right-to-left truncating SVD sweep of ``compress``; returns (sites, discarded).
 
-    Returns the discarded squared weight per bond. Each site is released once
-    factorised, and each set of Q blocks once U S is multiplied into it. A
-    split bond assembles its sectors' factors into zero-filled arrays under
-    one merged keep rule. One sector keeps its own branch: through the same
+    The discarded squared weight is per bond. X, starting as [[1]], maps the
+    uncompressed right bond of the site at hand to the kept bond, and Y is
+    that site of ``op`` times X (``_Pending.apply_right``). The matrix to
+    factorise is M = R Y, R the factor of the bond on the site's left (one
+    GEMM per sector, over that sector's columns only: the rest is zero);
+    Vh becomes the site, X moves one site left as Y Vh^dag, and site 0 is
+    Y. Since the QR sweep wrote the chain as Q R times the sites to the
+    right, M is the site matrix a sweep over Q would reach, and U S = R X is
+    the factor it would carry left, with no Q and no inverse of R. A split
+    bond assembles its sectors' factors into zero-filled arrays under one
+    merged keep rule. One sector keeps its own branch: through the same
     assembly it was byte-identical but up to 9% slower at caps of 24 and
-    below (LMG L=8, cap 16, K=40: 0.258 -> 0.281 s, slower in 11 of 12 runs).
-    ``right`` is the parity of the last site's right bond, None in one sector.
+    below (LMG L=8, cap 16, K=40: 0.258 -> 0.281 s, slower in 11 of 12
+    runs). ``right`` is the parity of the last site's right bond, None in
+    one sector.
     """
-    discarded = np.zeros(len(ts) - 1)
-    for i in range(len(ts) - 1, 0, -1):
-        dl, po, pi, dr = ts[i].shape
-        mat = ts[i].reshape(dl, po * pi * dr)
-        blocks = _WHOLE if right is None else _blocks(bonds[i], _col_parity(right))
-        svds = [tensor.truncated_svd(mat[rows][:, cols], d_max) for _, rows, cols in blocks]
-        dtype, width = mat.dtype, mat.shape[1]
-        del mat
-        ts[i] = None
-        prev_shape, prev_blocks = q_blocks[i - 1]
-        q_blocks[i - 1] = None
+    length = op.length
+    ts = [None] * length
+    discarded = np.zeros(length - 1)
+    x = np.ones((1, 1))
+    for i in range(length - 1, 0, -1):
+        y = op.apply_right(i, x)
+        dl, po, pi, dr = y.shape
+        y = y.reshape(dl, -1)
+        blocks = factors[i - 1]
+        factors[i - 1] = None
         if right is None:
-            res, = svds
-            (_, q), = prev_blocks
-            k = res.s.size
-            ts[i] = res.vh.reshape(k, po, pi, dr)
-            ts[i - 1] = (q @ (res.u * res.s)).reshape(*prev_shape, k)
+            (_, _, r), = blocks
+            res = tensor.truncated_svd(r @ y, d_max)
+            ts[i] = res.vh.reshape(res.s.size, po, pi, dr)
+            x = y @ res.vh.conj().T
             discarded[i - 1] = res.discarded_weight
-            del svds, res, prev_blocks, q
-            continue
-        kept = _merged_keep([res.s for res in svds], d_max)
-        vh_all = np.zeros((kept.sum(), width), dtype=dtype)
-        prev = np.zeros((int(np.prod(prev_shape)), kept.sum()),
-                        dtype=np.result_type(dtype, *(q for _, q in prev_blocks)))
-        off = 0
-        # the SVD blocks here and the Q blocks of site i-1 run over the same sectors
-        for (_, _, cols), (q_rows, q), res, k in zip(blocks, prev_blocks, svds, kept):
-            vh_all[off:off + k, cols] = res.vh[:k]
-            prev[q_rows, off:off + k] = q @ (res.u[:, :k] * res.s[:k])
-            discarded[i - 1] += res.discarded_weight + float(np.sum(res.s[k:] ** 2))
-            off += k
-        ts[i] = vh_all.reshape(off, po, pi, dr)
-        ts[i - 1] = prev.reshape(*prev_shape, off)
-        # site i-1 is the next SVD's input: no local may keep it, or a spent factor, alive
-        del svds, res, prev_blocks, q, prev
-        right = np.repeat(np.int8([p for p, _, _ in blocks]), kept)
-    return discarded
+        else:
+            col_parity = _col_parity(right)
+            cols = [np.flatnonzero(col_parity == p) for p, _, _ in blocks]
+            svds = [tensor.truncated_svd(r @ y[rows][:, c], d_max)
+                    for (_, rows, r), c in zip(blocks, cols)]
+            kept = _merged_keep([res.s for res in svds], d_max)
+            vh_all = np.zeros((kept.sum(), y.shape[1]),
+                              dtype=np.result_type(*(res.vh for res in svds)))
+            x = np.empty((dl, kept.sum()), dtype=np.result_type(y, vh_all))
+            off = 0
+            for c, res, k in zip(cols, svds, kept):
+                vh_all[off:off + k, c] = res.vh[:k]
+                x[:, off:off + k] = y[:, c] @ res.vh[:k].conj().T
+                discarded[i - 1] += res.discarded_weight + float(np.sum(res.s[k:] ** 2))
+                off += k
+            ts[i] = vh_all.reshape(off, po, pi, dr)
+            right = np.repeat(np.int8([p for p, _, _ in blocks]), kept)
+            del svds
+        # the next Y is built from x alone: no local may keep a spent factor alive
+        del blocks, res, y
+    ts[0] = op.apply_right(0, x)
+    return ts, discarded
 
 
 def to_dense(u, guard=DENSE_GUARD):
