@@ -7,7 +7,6 @@ from .mpo import (
     add,
     compress,
     dagger,
-    exact_bond_cap,
     frobenius_norm,
     inner_product,
     load_mpo,
@@ -41,7 +40,6 @@ from .thermal import (
     correlation_zz,
     entropy_density,
     expectation,
-    pair_observables,
     partition_traces,
     sweep_observables,
     trace_norm,

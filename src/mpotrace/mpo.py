@@ -21,12 +21,12 @@ A's last site (``shift``).
 
 Parity sectors: every shipped operator commutes with P = prod sz, so each
 bond index carries a Z2 parity that the exact zeros of the site tensors
-reveal (the parity of |o><i| is o xor i; an all-zero index is a wildcard).
-At caps of at least ``_SECTOR_MIN_D``, ``compress`` labels each site as its
-QR sweep builds it, factorises the even and odd sector of each bond
-separately and returns sector-ordered bonds with exact zeros, which
-products and sums preserve, so every compression of a run splits. Nothing
-outside ``compress`` knows about sectors.
+reveal (the parity of |o><i| is o xor i; an all-zero index is even).
+At caps of at least ``_SECTOR_MIN_D``, ``compress`` labels each site once
+its QR sweep has carried R into it, factorises the even and odd sector of
+each bond separately and returns sector-ordered bonds with exact zeros,
+which products and sums preserve, so every compression of a run splits.
+Nothing outside ``compress`` knows about sectors.
 
 Scalars are complex in general; operators whose entries happen to be real
 (all the shipped models) are kept in real storage so that LAPACK runs in
@@ -37,6 +37,7 @@ operands promotes as usual and changes no value.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -113,16 +114,15 @@ class _Pending:
 
     Each term is a tuple of chains multiplied site by site: (u,) or (a, u).
     The sum is their direct sum, so an inner site is block diagonal with one
-    block per term. ``compress`` asks for each site's blocks (``parts``)
-    when its QR sweep reaches it, reads their sector labels, carries R into
-    each block and drops them, and its SVD sweep asks for each site times
-    a matrix (``apply_right``): the uncompressed operator never exists
-    whole, no zero-filled site is built, and the labels are those of the
-    operator it stands for. A Lanczos step also holds ``channel``, the
-    index of A's last left bond whose left part is I (x) ... (x) I:
-    ``compress`` reads alpha at that site and shifts A there
-    (``shifted``). Only ``add``, ``multiply``, ``step_operator`` and
-    ``compress`` make one, and ``_maybe_compress`` never returns it.
+    block per term. ``compress`` asks for each site's blocks (``parts``) when
+    its QR sweep reaches it, carries R into each block and drops them, and
+    its SVD sweep asks for each site times a matrix (``apply_right``): the
+    uncompressed operator never exists whole, and no zero-filled site is
+    built. A Lanczos step also holds ``channel``, the index of A's last left
+    bond whose left part is I (x) ... (x) I: ``compress`` reads alpha at that
+    site and shifts A there (``shifted``). Only ``add``, ``multiply``,
+    ``step_operator`` and ``compress`` make one, and ``_maybe_compress``
+    never returns it.
     """
 
     __slots__ = ("terms", "channel")
@@ -224,11 +224,6 @@ class CompressionReport:
     @property
     def total_discarded(self):
         return float(np.sum(self.discarded_weights))
-
-
-def exact_bond_cap(length, phys_dim=2):
-    """Bond dimension sufficient to represent any operator on the chain exactly."""
-    return int(phys_dim ** (2 * (length // 2)))
 
 
 def inner_product(u, v):
@@ -436,37 +431,22 @@ def _col_parity(bond):
     return (_PHYS_PARITY[:, :, None] ^ bond).reshape(-1)
 
 
-def _scan_site(t, bond, live):
-    """(parity, live) of the right bond index of site ``t``, or None if it is not graded.
+def _scan_site(t, bond):
+    """Parity of the right bond index of site ``t``, or None if it is not graded.
 
-    ``bond`` and ``live`` label the site's left bond. The site is graded when
-    each nonzero entry t[l, o, i, r] with l live has p(r) = p(l) xor o xor i.
-    An index whose entries are all zero there constrains nothing: it is dead
-    (``live`` False) and labelled even, and the rows it feeds on the next
-    site are ignored, since they multiply zero.
+    ``bond`` labels the site's left bond. The site is graded when each
+    nonzero entry t[l, o, i, r] has p(r) = p(l) xor o xor i. An index whose
+    entries are all zero constrains nothing and is labelled even.
     """
     if t.shape[1:3] != (2, 2):
         return None
     nonzero = (t != 0).reshape(-1, t.shape[3])
     rows = _row_parity(bond)
-    live_rows = np.repeat(live, 4)
-    even = nonzero[live_rows & (rows == 0)].any(axis=0)
-    odd = nonzero[live_rows & (rows == 1)].any(axis=0)
+    even = nonzero[rows == 0].any(axis=0)
+    odd = nonzero[rows == 1].any(axis=0)
     if np.any(even & odd):
         return None
-    return odd.astype(np.int8), even | odd
-
-
-def _bond_parities(tensors):
-    """``_scan_site`` of every site from an even left boundary; None if one is not graded."""
-    label = (np.zeros(1, dtype=np.int8), np.ones(1, dtype=bool))
-    out = []
-    for t in tensors:
-        label = _scan_site(t, *label)
-        if label is None:
-            return None
-        out.append(label)
-    return out
+    return odd.astype(np.int8)
 
 
 # The one block of a one-sector matrix: the whole matrix, as a view.
@@ -521,17 +501,20 @@ def compress(u, d_max):
     importing scipy would more than double every command's cold start, so
     it loads only if gesdd fails and the SVD falls back to gesvd.
 
-    Parity sectors: an operator that commutes with P = prod sz (every
-    shipped Hamiltonian, starting block and Krylov vector) splits each bond
-    into an even and an odd sector, readable from the exact zero pattern of
-    the site tensors (the parity of |o><i| is o xor i, and an all-zero index
-    is a wildcard). The QR sweep reads each site's labels (``_scan_site``)
-    as it builds the site's blocks, before R is carried in; a site that is
-    not graded sends the chain back through the sweep as one sector. Every
-    site matrix is then block diagonal, so each QR, SVD and product with R
-    runs once per sector on a block about half the size.
-    The two sectors' singular values are merged under the keep rule applied
-    once across both, which is the same optimal truncation up to ties; the
+    Parity sectors: an operator that commutes with P = prod sz (every shipped
+    Hamiltonian, starting block and Krylov vector) splits each bond into an
+    even and an odd sector, readable from the exact zero pattern of the site
+    tensors (the parity of |o><i| is o xor i). The QR sweep reads each
+    site's labels once (``_scan_site``), off the carried site R times the
+    site, whose left labels are the parities of R's rows. An all-zero index
+    there is labelled even: the QR leaves its column of R exactly zero (a
+    Householder reflection maps a zero column to zero), so the rows it feeds
+    on the next site carry in as exact zeros and constrain nothing. A site
+    that is not graded sends the chain back through the sweep as one sector.
+    Every site matrix is then block diagonal, so each QR, SVD and product
+    with R runs once per sector on a block about half the size. The two
+    sectors' singular values are merged under the keep rule applied once
+    across both, which is the same optimal truncation up to ties; the
     discarded weight is what each block dropped plus what the merge dropped.
     Output bonds come back sector-ordered with exact zeros, so the result
     splits again in the next compression.
@@ -554,18 +537,16 @@ def compress(u, d_max):
     is the largest object of a Lanczos step. A capped ``add``, ``multiply``
     or step passes its operands instead (``_Pending``; 7.5 MB less peak RSS
     on an LMG L=12, cap 60 sweep): the QR sweep builds each site's blocks
-    when R is to be carried into them, labels them and drops them right
-    after, so the labels come from one scan of each block as it is built.
-    An inner site of a sum is never built whole: R is carried into each
-    term's block by its own GEMM (``_carry``), so no zero-filled site
-    exists. The product's block is built only then too; building the
-    product whole first read 75.5-75.9 MB of peak RSS on that sweep, against
-    71.6-72.0 MB. A capped call then peaks at about one site of the QR
-    sweep with its blocks, or one Y, beside the R factors: 0.29-0.35x the
-    uncompressed operator's bytes at L=12, cap 60, split, and 0.41-0.42x
+    when R is to be carried into them and drops them right after. An inner
+    site of a sum is never built whole: R is carried into each term's block
+    by its own GEMM (``_carry``), so no zero-filled site exists. The
+    product's block is built only then too, as building the product whole
+    first raises the peak. A capped call then peaks at about one site of
+    the QR sweep with its blocks, or one Y, beside the R factors: 0.29-0.35x
+    the uncompressed operator's bytes at L=12, cap 60, split, and 0.41-0.42x
     there in one sector; 0.55-0.57x at L=8, cap 24. Keeping Q for the SVD
-    sweep read 0.55-0.59x, 0.98-1.01x and 1.05-1.15x. A plain ``u`` is only
-    read, never mutated.
+    sweep would hold a factorised copy of every site until that sweep
+    reaches it. A plain ``u`` is only read, never mutated.
     """
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
@@ -587,8 +568,9 @@ def _qr_sweep(op, split):
     is carried into the next site by ``_carry``, starting from the 1 x 1
     identity. The fork left is which blocks, decided in ``compress`` by
     ``_SECTOR_MIN_D``. Each site is asked for once, when R is carried into
-    it; with ``split`` it is labelled first (``_scan_site``), and the sweep
-    returns None at the first site that is not graded. A Lanczos step reads
+    it; with ``split`` the carried site is labelled (``_scan_site``, its
+    left bond labelled by the parities of R's rows), and the sweep returns
+    None at the first site that is not graded. A Lanczos step reads
     alpha once R reaches its last bond (``_step_alpha``), and shifts A
     before its last site is carried in, which is carried only to be
     labelled. Only R is formed (``mode="r"``, LAPACK's geqrf without the
@@ -602,27 +584,27 @@ def _qr_sweep(op, split):
     length = op.length
     bond = np.zeros(1, dtype=np.int8)
     factors = []
-    # (parity, live) of the left bond of the site that R is carried into
-    label = (bond, np.ones(1, dtype=bool)) if split else None
-    rs, blocks = [np.ones((1, 1))], _WHOLE
+    rs, blocks, label = [np.ones((1, 1))], _WHOLE, None
     alpha = None
     for i in range(length):
         if i == length - 1 and op.channel is not None:
             alpha = _step_alpha(op, rs, blocks)
             op = op.shifted(-alpha)
-        cur, label = _carry(op.parts(i), rs, blocks, label)
-        if cur is None:  # a site is not graded
-            return None
+        cur = _carry(op.parts(i), rs, blocks)
+        if split:
+            label = _scan_site(cur, bond)
+            if label is None:  # a site is not graded
+                return None
         if i == length - 1:
             break
         dl, po, pi, dr = cur.shape
         mat = cur.reshape(dl * po * pi, dr)
-        blocks = _blocks(_row_parity(bond), label[0]) if split else _WHOLE
+        blocks = _blocks(_row_parity(bond), label) if split else _WHOLE
         rs = [np.linalg.qr(mat[rows][:, cols], mode="r") for _, rows, cols in blocks]
         del mat, cur
         factors.append([(p, cols, r) for (p, _, cols), r in zip(blocks, rs)])
         bond = np.repeat(np.int8([p for p, _, _ in blocks]), [r.shape[0] for r in rs])
-    return op, factors, label[0] if split else None, alpha
+    return op, factors, label, alpha
 
 
 def _reach(cols, left, n):
@@ -636,26 +618,19 @@ def _reach(cols, left, n):
     return slice(lo, hi), cols[lo:hi] - left
 
 
-def _carry(parts, rs, blocks, label):
+def _carry(parts, rs, blocks):
     """R carried into one site, given as ``parts`` (block, left offset, right offset).
 
     Each sector's R multiplies only the rows of each block that it reaches,
     one GEMM per block and sector, into the block's own columns of the
-    carried site. With ``label``, the (parity, live) of the site's left
-    bond, it returns the carried site and its right bond's label, or (None,
-    None) if a block is not graded; without, the carried site and None.
+    carried site.
     """
     po, pi = parts[0][0].shape[1:3]
     width = sum(t.shape[3] for t, _, _ in parts)
     out = np.empty((sum(r.shape[0] for r in rs), po, pi, width),
                    dtype=np.result_type(*rs, *(t for t, _, _ in parts)))
-    labels = []
     for t, left, right in parts:
         n, rn = t.shape[0], t.shape[3]
-        if label is not None:
-            labels.append(_scan_site(t, label[0][left:left + n], label[1][left:left + n]))
-            if labels[-1] is None:
-                return None, None
         flat = t.reshape(n, -1)
         off = 0
         for (_, _, cols), r in zip(blocks, rs):
@@ -666,9 +641,7 @@ def _carry(parts, rs, blocks, label):
             else:
                 dst[...] = (r[:, pos] @ flat[rows]).reshape(dst.shape)
             off += r.shape[0]
-    if label is not None:
-        label = tuple(np.concatenate(x) for x in zip(*labels))
-    return out, label
+    return out
 
 
 def _step_alpha(op, rs, blocks):
@@ -776,8 +749,13 @@ def save_mpo(u, path):
 
 
 def read_exact(fh, n, what):
-    """Read exactly ``n`` bytes; a short read raises ValueError("truncated ...")."""
-    buf = fh.read(n)
+    """Read exactly ``n`` bytes; a short read raises ValueError("truncated ...").
+
+    ``n`` is checked against the bytes left in the file before anything is
+    read, so a forged length field does not make the read allocate it.
+    """
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    buf = fh.read(n) if n <= left else b""
     if len(buf) != n:
         raise ValueError(f"truncated {what}")
     return buf

@@ -22,9 +22,8 @@ of each correlator pair (``zz_blocks``), which sum to the identity.
 ``sweep_observables`` turns the set's runs into every column: the base
 columns from the union of their rules, one rule for Tr f(H), and each C_zz
 from its pair's four runs (``zz_from_runs``, as Z = sum_ab Z_ab), with no
-identity run. ``partition_traces``, ``pair_observables`` and ``expectation``
-read an identity run. ``trace_norm`` is the one functional here that is not
-thermal.
+identity run. ``partition_traces`` and ``expectation`` read an identity run.
+``trace_norm`` is the one functional here that is not thermal.
 """
 
 from __future__ import annotations
@@ -185,25 +184,6 @@ def entropy_density(log_z, f_over_z, beta, length):
     """Entropy per site s = (beta F/Z + log Z) / L."""
     return (np.asarray(beta, float) * np.asarray(f_over_z, float)
             + np.asarray(log_z, float)) / length
-
-
-def pair_observables(run, betas, pair_betas):
-    """(F_T, D_T) of each pair (beta, beta') of two equal-length beta arrays.
-
-    Both read the Gibbs weights p and p' of the two states of the same H on
-    the run's rule. F_T = sum_j sqrt(p_j p'_j), normalised by the pair's own
-    sums (``fidelity``), equals Z((b+b')/2) / sqrt(Z(b) Z(b')) on the rule;
-    Cauchy-Schwarz keeps it <= 1. D_T is the Schatten-1 distance
-    sum_j |p_j - p'_j|. Each weight is at most 1, so neither can overflow.
-    Equal arguments give exactly 1 and exactly 0. Any finite beta >= 0 is
-    accepted: b' = 0 is the infinite-temperature state.
-    """
-    _require_identity_start(run)
-    b0 = _as_betas(betas)
-    b1 = _as_betas(pair_betas)
-    if b0.shape != b1.shape:
-        raise ValueError("betas and pair_betas must have equal length")
-    return _per_beta(run.quadrature, b0, b1)[3:]
 
 
 def trace_norm(run):

@@ -5,10 +5,12 @@ MPO contraction code: they build operators with explicit Kronecker products,
 so they can serve as ground truth for it.
 """
 
+import struct
+
 import numpy as np
 import scipy.linalg
 
-from mpotrace import Mpo, tensor
+from mpotrace import Mpo, mpo, tensor
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -48,6 +50,11 @@ def dense_lmg(length, h_field):
         sx_tot += site_op(length, i, SX) / 2.0
         sz_tot += site_op(length, i, SZ) / 2.0
     return -(sx_tot @ sx_tot) / length - h_field * sz_tot
+
+
+def exact_bond_cap(length):
+    """A bond cap at which no operator on a spin-1/2 chain of ``length`` sites truncates."""
+    return 4 ** (length // 2)
 
 
 def random_mpo(rng, length, bond, phys=2, complex_entries=True):
@@ -114,6 +121,24 @@ def random_graded_mpo(rng, length, bond, complex_entries=True):
     return Mpo(tensors)
 
 
+def bond_parities(tensors):
+    """Right-bond parity of each site of a chain as it stands, or None if a
+    site is not graded: ``mpo._scan_site`` from an even left boundary.
+
+    ``compress`` scans each site only after R is carried into it, which
+    zeroes the rows an all-zero index feeds; this scan of the raw sites does
+    not, so a chain with such an index can read as not graded here.
+    """
+    label = np.zeros(1, dtype=np.int8)
+    out = []
+    for t in tensors:
+        label = mpo._scan_site(t, label)
+        if label is None:
+            return None
+        out.append(label)
+    return out
+
+
 def _nearest_neighbour_chain(length, left_ops, right_ops, field):
     """MPO of sum_i sum_k left_k(i) right_k(i+1) + sum_i field(i), open chain."""
     n = len(left_ops) + 2
@@ -139,6 +164,15 @@ def dm_chain_mpo(length, j_coupling, d_coupling, g_field):
 def raising_chain_mpo(length):
     """sigma+ sx on every bond plus sz: real, graded and not symmetric."""
     return _nearest_neighbour_chain(length, [SP], [SX], SZ)
+
+
+def forge_alpha_count(path):
+    """Set the alphas count of a saved run file to 2^32 - 1: 34 GB that the file does not hold."""
+    data = path.read_bytes()
+    (blob_len,) = struct.unpack("<I", data[8:12])
+    count = 12 + blob_len + 8  # after the header, its JSON blob and beta1
+    path.write_bytes(data[:count] + struct.pack("<I", 0xFFFFFFFF) + data[count + 4:])
+    return path
 
 
 def reference_czz(spectrum, betas, pairs):

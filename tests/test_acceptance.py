@@ -10,25 +10,23 @@ import math
 import numpy as np
 import pytest
 
-from helpers import SZ, dense_ising, dense_lmg, random_hermitian_mpo, site_op
+from helpers import SZ, dense_ising, dense_lmg, exact_bond_cap, random_hermitian_mpo, site_op
 from mpotrace import (
     BetaGrid,
     LanczosConfig,
     Mpo,
     entropy_density,
-    exact_bond_cap,
     exact_observables,
     exact_spectrum,
     identity_block,
     ising_mpo,
     lmg_mpo,
-    pair_observables,
     partition_traces,
     run_lanczos,
     sweep_observables,
     to_dense,
 )
-from mpotrace import evaluate
+from mpotrace import evaluate, thermal
 from mpotrace.cli import RunConfig, exact_tc, extrapolate_tc, find_peak, run_sweep
 
 TEMPS_10 = np.round(np.arange(1, 11) * 0.1, 10)
@@ -278,10 +276,10 @@ def test_criterion_7_bounds_suite(ising8_case, lmg8_cases):
     h = ising_mpo(length, 1.0, 1.0)
     run = run_lanczos(h, identity_block(length),
                       LanczosConfig(k_max=30, d_max=exact_bond_cap(length)))
-    for beta in (0.5, 1.0, 5.0):
-        fid, dist = pair_observables(run, [beta], [beta])
-        assert fid[0] == 1.0
-        assert dist[0] == 0.0
+    betas = np.array([0.5, 1.0, 5.0])
+    _, _, _, fid, dist = thermal._per_beta(run.quadrature, betas, betas)
+    assert np.all(fid == 1.0)
+    assert np.all(dist == 0.0)
     print(f"\nACCEPTANCE 7 (bounds over {len(BOUNDS_REGISTRY)} sweeps, "
           "F_T(b,b)=1, D_T(b,b)=0): PASS")
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import forge_alpha_count
 from mpotrace import cli, load_run
 from mpotrace.cli import (
     CacheMismatchError,
@@ -523,11 +524,16 @@ def test_main_spin_flip_symmetric_long_chain(tmp_path):
     assert out.read_text().splitlines()[0].endswith(",Czz_1_2")
 
 
-def _truncated_run_file(tmp_path):
+def _saved_run_file(tmp_path, name):
     from mpotrace import LanczosConfig, identity_block, ising_mpo, run_lanczos, save_run
-    path = tmp_path / "cut.lrun"
+    path = tmp_path / name
     save_run(run_lanczos(ising_mpo(4, 1.0, 1.0), identity_block(4),
                          LanczosConfig(k_max=4, d_max=8)), path)
+    return path
+
+
+def _truncated_run_file(tmp_path):
+    path = _saved_run_file(tmp_path, "cut.lrun")
     path.write_bytes(path.read_bytes()[:-5])
     return path
 
@@ -558,6 +564,7 @@ def _ini_sweep(tmp_path, text):
     lambda tmp: ["tc", _csv_file(tmp, "model,L,param,T,c\nlmg,4,h=0.2,abc,1\n")],
     lambda tmp: ["inspect-run", str(tmp / "missing.lrun")],
     lambda tmp: ["inspect-run", str(_truncated_run_file(tmp))],
+    lambda tmp: ["inspect-run", str(forge_alpha_count(_saved_run_file(tmp, "forged.lrun")))],
     lambda tmp: _ini_sweep(tmp, "[model]\nfamily = ising\nfamily = lmg\nL = 4\n"),
     lambda tmp: _ini_sweep(tmp, "family = ising\nL = 4\n"),
     lambda tmp: _ini_sweep(tmp, "[model]\nfamily = ising\nL = 4\n"
@@ -588,7 +595,8 @@ def _ini_sweep(tmp_path, text):
     lambda tmp: ["tc", _csv_file(tmp, _PEAKS_CSV.replace("h=0.5", "h=abc"))],
     lambda tmp: ["tc", _csv_file(tmp, _PEAKS_CSV.replace("lmg,6,", "lmg,0,"))],
 ], ids=["exact-over-guard", "tc-missing-csv", "tc-csv-without-model", "tc-csv-bad-number",
-        "inspect-missing-run", "inspect-truncated-run", "ini-repeated-key",
+        "inspect-missing-run", "inspect-truncated-run", "inspect-forged-count-run",
+        "ini-repeated-key",
         "ini-no-section-header", "ini-reorthogonalize-key", "sweep-out-dir-missing",
         "sweep-out-is-dir", "sweep-cache-is-file", "exact-guard-above-limit",
         "ini-breakdown-tol-key", "tc-csv-repeated-rows", "tc-csv-nan-value", "tc-csv-inf-T",
@@ -612,6 +620,9 @@ def test_main_truncated_cached_run_exit_code(tmp_path):
     data = path.read_bytes()
     (blob_len,) = struct.unpack("<I", data[8:12])
     path.write_bytes(data[:12 + blob_len + 3])
+    assert cli.main(args) == 4
+    path.write_bytes(data)
+    forge_alpha_count(path)
     assert cli.main(args) == 4
 
 

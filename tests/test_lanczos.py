@@ -4,13 +4,20 @@ import struct
 import numpy as np
 import pytest
 
-from helpers import dm_chain_mpo, raising_chain_mpo, random_hermitian_mpo, random_mpo
+from helpers import (
+    bond_parities,
+    dm_chain_mpo,
+    exact_bond_cap,
+    forge_alpha_count,
+    raising_chain_mpo,
+    random_hermitian_mpo,
+    random_mpo,
+)
 from mpotrace import (
     LanczosConfig,
     Mpo,
     NumericalError,
     evaluate,
-    exact_bond_cap,
     identity_block,
     inner_product,
     ising_mpo,
@@ -239,7 +246,7 @@ _STEP_PATHS = {
 @pytest.mark.parametrize("name", list(_STEP_PATHS))
 def test_step_alpha_and_beta_are_the_transfer_contractions(monkeypatch, name):
     h, start, d_max, graded = _STEP_PATHS[name]
-    assert (mpo._bond_parities(h.tensors) is not None) == graded
+    assert (bond_parities(h.tensors) is not None) == graded
     if name == "no-identity-channel":
         assert mpo.identity_channel(h)[0].bond_dims != h.bond_dims  # one is appended
     want_alphas, norms, sweeps = [], [], set()
@@ -327,6 +334,10 @@ def test_run_serialization_rejects_truncated_or_incomplete(tmp_path):
     data = path.read_bytes()
     (blob_len,) = struct.unpack("<I", data[8:12])
     path.write_bytes(data[:12 + blob_len + 3])  # cut inside beta1
+    with pytest.raises(ValueError, match="truncated"):
+        load_run(path)
+    path.write_bytes(data)
+    forge_alpha_count(path)
     with pytest.raises(ValueError, match="truncated"):
         load_run(path)
     blob = json.dumps({"format_version": 1, "k": run.projection.k}).encode("utf-8")

@@ -1,3 +1,4 @@
+import struct
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from helpers import (
     SX,
     SY,
     SZ,
+    bond_parities,
     dense_compress,
     dense_ising,
     dense_lmg,
@@ -353,6 +355,11 @@ def test_serialization_rejects_truncated_file(tmp_path):
         path.write_bytes(data[:cut])
         with pytest.raises(ValueError, match="truncated"):
             load_mpo(path)
+    # one site of 1 x 65535 x 65535 x 1 declares 69 GB of data, which is not there
+    path.write_bytes(data[:8] + struct.pack("<I", 1) + struct.pack("<IIII", 1, 65535, 65535, 1)
+                     + data[12 + 16 * u.length:])
+    with pytest.raises(ValueError, match="truncated MPO container"):
+        load_mpo(path)
 
 
 def test_serialization_rejects_garbage(tmp_path):
@@ -432,7 +439,7 @@ def graded_inputs():
                                   "lmg^6*zz_neg", "random_complex"])
 def test_compress_split_matches_reference(graded_inputs, name, monkeypatch):
     u, d_max = graded_inputs[name]
-    assert mpo._bond_parities(u.tensors) is not None
+    assert bond_parities(u.tensors) is not None
     out, report, n_svd = _counted_compress(u, d_max, monkeypatch)
     _assert_matches_reference(u, d_max, out, report)
     assert report.total_discarded > 1e-12 * frobenius_norm(u) ** 2  # the cap truncates
@@ -456,7 +463,7 @@ def test_compress_drops_a_planted_tail_below_eps_and_reports_it(monkeypatch):
     bulk = np.array([1.0, 0.5, 0.3])
     tail = np.sqrt(1e-3 * tensor.DISCARD_EPS * np.sum(bulk ** 2))  # held by Y (x) Y, odd
     u = _schmidt_pair(np.append(bulk, tail))
-    assert mpo._bond_parities(u.tensors) is not None
+    assert bond_parities(u.tensors) is not None
     out, report, n_svd = _counted_compress(u, 32, monkeypatch)
     assert n_svd == 2  # one SVD per sector
     assert out.bond_dims == [3]
@@ -480,14 +487,14 @@ def test_compressed_graded_chain_splits_again(monkeypatch):
         out, report, n_svd = _counted_compress(u, 32, monkeypatch)
         _assert_matches_reference(u, 32, out, report)
         assert n_svd > u.length - 1
-        assert mpo._bond_parities(out.tensors) is not None
+        assert bond_parities(out.tensors) is not None
         u = out
 
 
-def test_alpha_zero_ising_vector_is_graded():
+def test_alpha_zero_ising_vector_is_graded(monkeypatch):
     # The first Lanczos step on a traceless H has alpha = 0 exactly, so
     # U_2 = (H U_1 - 0 * U_1) / beta carries an all-zero bond index; its
-    # products must still read as graded.
+    # products must still split.
     length = 8
     h = ising_mpo(length, 1.0, 1.0)
     u1 = scale(1.0 / frobenius_norm(identity_block(length).mpo), identity_block(length).mpo)
@@ -496,16 +503,19 @@ def test_alpha_zero_ising_vector_is_graded():
     assert alpha == 0.0
     u2, _ = add(w, scale(-alpha, u1))
     assert not np.any(u2.tensors[0][..., -1])  # the all-zero index
-    assert mpo._bond_parities(u2.tensors) is not None
     hu2, _ = multiply(h, u2)
     h2u2, _ = multiply(h, hu2)
-    assert mpo._bond_parities(h2u2.tensors) is not None
-    _assert_matches_reference(h2u2, 32, *compress(h2u2, 32))
+    # scanned raw, the rows that the all-zero index feeds break the parity of
+    # their site; compress scans them carried, where they are exact zeros
+    assert bond_parities(h2u2.tensors) is None
+    out, report, n_svd = _counted_compress(h2u2, 32, monkeypatch)
+    _assert_matches_reference(h2u2, 32, out, report)
+    assert n_svd > length - 1  # bonds split into two blocks
 
 
 def test_ungraded_chain_takes_one_sector(monkeypatch):
     u = random_mpo(np.random.default_rng(43), 6, 40)
-    assert mpo._bond_parities(u.tensors) is None
+    assert bond_parities(u.tensors) is None
     out, report, n_svd = _counted_compress(u, 32, monkeypatch)
     assert n_svd == u.length - 1
     ref, ref_discarded = dense_compress(u, 32)
@@ -531,12 +541,34 @@ def test_every_compression_of_an_ising_run_splits(monkeypatch):
     assert all(n > length - 1 for n in per_call)
 
 
+def test_split_compression_scans_each_carried_site_once(monkeypatch):
+    # the labels are read off R times the site, once per site, not off each
+    # term's block of it
+    length = 8
+    rng = np.random.default_rng(64)
+    a = lmg_mpo(length, 0.3)
+    u, v = (random_graded_mpo(rng, length, 16, complex_entries=False) for _ in range(2))
+    step = mpo.step_operator(a, mpo.identity_channel(a)[1], u, v)
+    scans = []
+    scan = mpo._scan_site
+
+    def counted(*args):
+        scans.append(args[0].shape)
+        return scan(*args)
+
+    monkeypatch.setattr(mpo, "_scan_site", counted)
+    _, report, n_svd = _counted_compress(step, 32, monkeypatch)
+    assert report.total_discarded > 0.0
+    assert n_svd > length - 1  # bonds split into two blocks
+    assert len(scans) == length, scans
+
+
 # ---------------------------------------------------------------------------
 # a pending sum or product compresses as the operator it stands for
 
 def _pending_compressions(monkeypatch, calls):
     """Every capped call in ``calls()``: compress of the pending operand, compress
-    of the operator it builds, and the labels that ``_bond_parities`` scans off it.
+    of the operator it builds, and whether the first split its bonds.
 
     The two compressions run different kernels: a sum's inner sites are
     carried block by block, which need not round as one GEMM over the
@@ -547,13 +579,13 @@ def _pending_compressions(monkeypatch, calls):
     compress_ = mpo.compress
 
     def checked(u, d_max):
-        out = compress_(u, d_max)
-        if isinstance(u, mpo._Pending):  # not the Hermiticity check's plain difference
-            # a Lanczos step stands for A shifted by the alpha that its sweep read
-            step = u.channel is not None
-            built = (u.shifted(-out[1].alpha) if step else u).build()
-            seen.append((out, compress_(built, d_max), mpo._bond_parities(built.tensors)))
-        return out
+        if not isinstance(u, mpo._Pending):  # the Hermiticity check's plain difference
+            return compress_(u, d_max)
+        out, report, n_svd = _counted_compress(u, d_max, monkeypatch)
+        # a Lanczos step stands for A shifted by the alpha that its sweep read
+        built = (u.shifted(-report.alpha) if u.channel is not None else u).build()
+        seen.append(((out, report), compress_(built, d_max), n_svd > u.length - 1))
+        return out, report
 
     with monkeypatch.context() as patch:
         patch.setattr(mpo, "compress", checked)
@@ -630,13 +662,9 @@ _CAPPED_CALLS = {
 def test_pending_compresses_as_its_built_operator(monkeypatch, name):
     seen = _pending_compressions(monkeypatch, _CAPPED_CALLS[name])
     assert len(seen) == 4 if name == "ungraded-operand" else len(seen) > 0
-    dead = 0
-    for got, want, labels in seen:
+    for got, want, split in seen:
         _assert_same_compression(got, want, exact=False)
-        assert (labels is None) == (name == "ungraded-operand")
-        dead += sum(int(np.count_nonzero(~live)) for _, live in labels or ())
-    if name == "ising-alpha-zero-sum":
-        assert dead  # the case that needs the live mask occurs
+        assert split == (name != "ungraded-operand")
 
 
 def test_chain_ungraded_at_a_middle_site_compresses_as_one_sector(monkeypatch):
@@ -645,8 +673,8 @@ def test_chain_ungraded_at_a_middle_site_compresses_as_one_sector(monkeypatch):
     site = tensors[4]
     site[tuple(np.argwhere(site == 0)[0])] = 1.0  # one entry of the wrong parity
     u = Mpo(tensors)
-    assert mpo._bond_parities(u.tensors[:4]) is not None
-    assert mpo._bond_parities(u.tensors) is None
+    assert bond_parities(u.tensors[:4]) is not None
+    assert bond_parities(u.tensors) is None
     out, report, n_svd = _counted_compress(u, 32, monkeypatch)
     assert n_svd == u.length - 1  # one SVD per bond
     assert report.total_discarded > 0.0
@@ -715,7 +743,7 @@ def test_capped_call_peaks_near_its_uncompressed_result(length, bond, name):
 def test_compress_leaves_a_plain_input_untouched(graded, d_max):
     rng = np.random.default_rng(51)
     u = random_graded_mpo(rng, 8, 48) if graded else random_mpo(rng, 8, 48)
-    assert (mpo._bond_parities(u.tensors) is not None) == graded
+    assert (bond_parities(u.tensors) is not None) == graded
     before = list(u.tensors)
     values = [t.copy() for t in before]
     compress(u, d_max)
@@ -772,14 +800,14 @@ def _pending_terms(name, length, complex_entries):
 def test_apply_right_is_the_built_site_times_x(length, name, complex_entries):
     op = _pending_terms(name, length, complex_entries)
     built = op.build()
-    labels = mpo._bond_parities(built.tensors)
+    labels = bond_parities(built.tensors)
     assert labels is not None
     rng = np.random.default_rng(72)
     for i in range(length):
         site = built.tensors[i]
         x = rng.standard_normal((site.shape[3], 3))
         # split: X maps each parity of the bond to the same parity only
-        split = x * (labels[i][0][:, None] == np.array([0, 1, 0])[None, :])
+        split = x * (labels[i][:, None] == np.array([0, 1, 0])[None, :])
         for xs in (x, split):
             want = np.tensordot(site, xs, axes=(3, 0))
             got = op.apply_right(i, xs)

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from helpers import SZ, dense_lmg, reference_czz
+from helpers import SZ, dense_lmg, exact_bond_cap, reference_czz
 from mpotrace import (
     BetaGrid,
     LanczosConfig,
     Mpo,
     add,
-    exact_bond_cap,
     exact_observables,
     exact_spectrum,
     identity_block,

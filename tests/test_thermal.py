@@ -6,6 +6,7 @@ import pytest
 from helpers import (
     SZ,
     dense_ising,
+    exact_bond_cap,
     reference_expectation,
     reference_pair_observables,
     reference_partition_traces,
@@ -20,13 +21,11 @@ from mpotrace import (
     correlation_zz,
     dagger,
     entropy_density,
-    exact_bond_cap,
     expectation,
     identity_block,
     ising_mpo,
     lmg_mpo,
     multiply,
-    pair_observables,
     partition_traces,
     projector_block,
     run_lanczos,
@@ -110,25 +109,32 @@ def test_partition_traces_requires_identity_start():
             sweep_observables(runs, grid, length, [(1, 3)])
 
 
+def _pair_observables(run, betas, pair_betas):
+    """(F_T, D_T) of each pair (beta, beta') on a run's rule, from the sweep's
+    per-temperature loop."""
+    b0, b1 = (np.atleast_1d(np.asarray(b, dtype=float)) for b in (betas, pair_betas))
+    return thermal._per_beta(run.quadrature, b0, b1)[3:]
+
+
 def test_single_site_fidelity_closed_form(single_site_run):
-    got = pair_observables(single_site_run, [1.0], [2.0])[0][0]
+    got = _pair_observables(single_site_run, [1.0], [2.0])[0][0]
     want = 2.0 * np.cosh(1.5) / np.sqrt(4.0 * np.cosh(1.0) * np.cosh(2.0))
     assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_fidelity_equal_betas_is_exactly_one(single_site_run, ising6_run):
     for run in (single_site_run, ising6_run):
-        assert pair_observables(run, [0.7], [0.7])[0][0] == 1.0
+        assert _pair_observables(run, [0.7], [0.7])[0][0] == 1.0
 
 
 def test_trace_distance_equal_betas_is_exactly_zero(single_site_run, ising6_run):
     for run in (single_site_run, ising6_run):
-        assert pair_observables(run, [0.7], [0.7])[1][0] == 0.0
+        assert _pair_observables(run, [0.7], [0.7])[1][0] == 0.0
 
 
 def test_trace_distance_pure_vs_mixed_limit(single_site_run):
     # beta0 -> inf gives the ground state, beta1 -> 0 the maximally mixed one
-    got = pair_observables(single_site_run, [50.0], [1e-12])[1][0]
+    got = _pair_observables(single_site_run, [50.0], [1e-12])[1][0]
     p = np.array([np.exp(50.0), np.exp(-50.0)])
     p /= p.sum()
     want = float(np.sum(np.abs(p - 0.5)))
@@ -154,16 +160,16 @@ def test_thermal_quantities_match_oracle(ising6_run):
             dt_want = float(np.sum(np.abs(
                 np.exp(-beta * evals) / np.sum(np.exp(-beta * evals))
                 - np.exp(-b1 * evals) / np.sum(np.exp(-b1 * evals)))))
-            assert pair_observables(ising6_run, [beta], [b1])[1][0] == pytest.approx(
+            assert _pair_observables(ising6_run, [beta], [b1])[1][0] == pytest.approx(
                 dt_want, rel=rel)
 
 
 def test_pair_observables_grid_matches_single_pairs(ising6_run):
     betas = np.array([10.0, 4.0, 1.3, 0.5])
     pair_betas = np.array([5.0, 4.0, 1.2, 0.25])
-    fid, dist = pair_observables(ising6_run, betas, pair_betas)
+    fid, dist = _pair_observables(ising6_run, betas, pair_betas)
     for i, (b0, b1) in enumerate(zip(betas, pair_betas)):
-        one_fid, one_dist = pair_observables(ising6_run, [b0], [b1])
+        one_fid, one_dist = _pair_observables(ising6_run, [b0], [b1])
         assert fid[i] == one_fid[0] and dist[i] == one_dist[0]
     ref_fid, ref_dist = reference_pair_observables(ising6_run, betas, pair_betas)
     assert np.array_equal(fid, ref_fid) and np.array_equal(dist, ref_dist)
@@ -186,22 +192,17 @@ def test_pair_observables_at_equal_beta_are_exact_when_the_weights_do_not_sum_to
     for beta in betas:
         _, p = reference_shifted_gibbs(run, beta)
         assert np.sum(p) != 1.0 and np.sum(np.sqrt(p * p)) != 1.0
-    fid, dist = pair_observables(run, betas, betas)
+    fid, dist = _pair_observables(run, betas, betas)
     assert np.array_equal(fid, [1.0, 1.0]) and np.array_equal(dist, [0.0, 0.0])
 
 
 def test_pair_observables_infinite_temperature_partner(single_site_run):
     betas = np.array([1.0, 3.0])
-    fid, dist = pair_observables(single_site_run, betas, np.zeros(2))
+    fid, dist = _pair_observables(single_site_run, betas, np.zeros(2))
     want = 2.0 * np.cosh(betas / 2) / np.sqrt(2.0 * np.cosh(betas) * 2.0)
     assert fid == pytest.approx(want, rel=1e-12)
     # rho(beta) against I/2: |p0 - 1/2| + |p1 - 1/2| = tanh(beta)
     assert dist == pytest.approx(np.tanh(betas), rel=1e-12)
-
-
-def test_pair_observables_rejects_unequal_lengths(single_site_run):
-    with pytest.raises(ValueError, match="equal length"):
-        pair_observables(single_site_run, [1.0, 2.0], [1.0])
 
 
 def _count_gibbs(monkeypatch):
@@ -256,7 +257,7 @@ def test_sweep_columns_equal_the_per_temperature_reference(lmg8_run):
         assert np.array_equal(got, want)
     # the infinite-temperature partner beta' = 0
     zeros = np.zeros(betas.size)
-    for got, want in zip(pair_observables(lmg8_run, betas, zeros),
+    for got, want in zip(_pair_observables(lmg8_run, betas, zeros),
                          reference_pair_observables(lmg8_run, betas, zeros)):
         assert np.array_equal(got, want)
 
@@ -289,7 +290,7 @@ def test_correlators_equal_the_per_temperature_reference():
 @pytest.mark.parametrize("beta", [-1.0, np.inf, np.nan], ids=["negative", "inf", "nan"])
 @pytest.mark.parametrize("evaluate", [
     lambda run, b: partition_traces(run, [0.5, b]),
-    lambda run, b: pair_observables(run, [0.5, 1.0], [1.0, b]),
+    lambda run, b: _pair_observables(run, [0.5, 1.0], [1.0, b]),
     lambda run, b: expectation([(1.0, run)], run, [0.5, b]),
 ], ids=["partition_traces", "pair_observables", "expectation"])
 def test_every_thermal_function_rejects_a_bad_beta(single_site_run, evaluate, beta):
@@ -493,7 +494,7 @@ def test_sweep_reads_every_beta_from_the_grid(ising6_run):
     assert result.temperatures is grid.temperatures
     assert np.array_equal(result.log_z, partition_traces(ising6_run, grid.betas)[0])
     for i, (b0, b1) in enumerate(zip(grid.betas, grid.pair_betas)):
-        fid, dist = pair_observables(ising6_run, [b0], [b1])
+        fid, dist = _pair_observables(ising6_run, [b0], [b1])
         assert result.fidelity[i] == fid[0]
         assert result.trace_distance[i] == dist[0]
 
